@@ -15,8 +15,9 @@
     container counts, and compile timings when those parts ran) — the
     canonical diffable record of the perf trajectory across PRs.
 
-    [--interp tree|compiled] selects the interpreter execution strategy
-    (default: compiled plans). Simulated metrics are bit-identical between
+    [--interp tree|fast] selects the interpreter engine (default: fast —
+    closure plans for MLIR, bytecode for SDFGs). Simulated metrics are
+    bit-identical between
     the two — only harness wall-clock changes — so reports produced under
     either setting are directly comparable; the flag exists to measure
     that overhead (EXPERIMENTS.md "Interpreter performance"). *)
@@ -27,7 +28,7 @@ module Driver = Dcir_dace_passes.Driver
 module Json = Dcir_obs.Json
 
 let pr fmt = Format.printf fmt
-let interp_mode : Pipelines.interp_mode ref = ref `Compiled
+let interp_mode : Pipelines.interp_mode ref = ref `Fast
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable report accumulation: every figure that runs appends
@@ -401,9 +402,9 @@ let () =
     | "--interp" :: m :: rest ->
         (match m with
         | "tree" -> interp_mode := `Tree
-        | "compiled" -> interp_mode := `Compiled
+        | "fast" -> interp_mode := `Fast
         | _ ->
-            prerr_endline "bench: --interp expects 'tree' or 'compiled'";
+            prerr_endline "bench: --interp expects 'tree' or 'fast'";
             exit 2);
         scan rest
     | [ "--interp" ] ->

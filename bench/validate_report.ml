@@ -13,16 +13,15 @@
     unwrapped and their inner report validated; with
     [--baseline BASE.json [--rtol R]] the report is additionally gated
     against a recorded history snapshot and the run fails on any metric
-    regression past the tolerance. Also accepts interpreter micro-benchmark reports
-    ([dcir-interp-bench/1], [/2] and [/3], from [bench/interp_bench.exe])
-    and acts as the perf smoke test for compiled execution plans: every
-    row must be bit-identical to the tree walker AND at least as fast — a
-    compiled plan slower than the tree it replaced is a regression, not
-    noise. Schema [/3] adds the bytecode-tier column, held to the same
-    standard. Schema [/2] additionally carries a "parallel" array (serial vs
-    multi-domain execution of auto-parallelized kernels); those rows are
-    gated on bit-identity only — never on speedup, because the executor's
-    contract is determinism and the CI host may have a single core.
+    regression past the tolerance. Also accepts interpreter micro-benchmark
+    reports ([dcir-interp-bench/4], from [bench/interp_bench.exe]) and acts
+    as the perf smoke test for the fast engines: every row must be
+    bit-identical to the tree walker AND at least as fast — a fast engine
+    slower than the tree it replaces is a regression, not noise. The
+    report's "parallel" array (serial vs multi-domain execution of
+    auto-parallelized kernels) is gated on bit-identity only — never on
+    speedup, because the executor's contract is determinism and the CI
+    host may have a single core.
     Incident journals from chaos campaigns ([dcir-incidents/1], from
     [dcir fuzz --chaos --journal FILE]) are gated on record-stream shape
     and on the chaos oracle: all four fault kinds exercised, no case
@@ -82,12 +81,9 @@ let check_pipelines (arr : Json.t) : unit =
           fail "pipeline %S missing (have: %s)" p (String.concat ", " names))
       expected_pipelines
 
-(* Perf smoke for compiled execution plans ([dcir-interp-bench/1]).
-   [~bytecode] ([/3] reports) additionally requires the bytecode column:
-   bit-identical and no slower than the tree walker. The plan-vs-bytecode
-   ordering is deliberately not a per-row gate (tiny kernels can tie);
-   the sweep geomean in EXPERIMENTS.md carries that claim. *)
-let check_interp_bench ?(bytecode = false) (j : Json.t) : unit =
+(* Perf smoke for the fast engines: each row bit-identical to the tree
+   walker and no slower than it. *)
+let check_interp_bench (j : Json.t) : unit =
   let rows =
     match Option.bind (Json.member "benchmarks" j) Json.to_list with
     | Some [] -> fail "\"benchmarks\" is empty"
@@ -107,25 +103,17 @@ let check_interp_bench ?(bytecode = false) (j : Json.t) : unit =
         | Some (Json.Int n) -> float_of_int n
         | _ -> fail "benchmark row missing numeric %S" key
       in
-      let label = str "name" ^ "/" ^ str "pipeline" in
+      let label = str "name" ^ "/" ^ str "pipeline" ^ "/" ^ str "engine" in
       (match Json.member "identical" row with
       | Some (Json.Bool true) -> ()
-      | _ ->
-          fail "%s: compiled plan diverged from the tree walker" label);
-      let tree = num "tree_wall_s" and compiled = num "compiled_wall_s" in
-      if not (compiled <= tree) then
-        fail "%s: compiled plan slower than tree baseline (%.4fs vs %.4fs)"
-          label compiled tree;
-      if bytecode then begin
-        let bc = num "bytecode_wall_s" in
-        ignore (num "bytecode_speedup");
-        if not (bc <= tree) then
-          fail "%s: bytecode tier slower than tree baseline (%.4fs vs %.4fs)"
-            label bc tree
-      end)
+      | _ -> fail "%s: fast engine diverged from the tree walker" label);
+      let tree = num "tree_wall_s" and fast = num "fast_wall_s" in
+      if not (fast <= tree) then
+        fail "%s: fast engine slower than tree baseline (%.4fs vs %.4fs)"
+          label fast tree)
     rows
 
-(* Determinism gate for parallel map execution ([dcir-interp-bench/2]).
+(* Determinism gate for parallel map execution.
    Each row must be bit-identical to its serial run and carry well-formed
    timing fields; wall-clock speedup is deliberately NOT gated. *)
 let check_parallel_bench (j : Json.t) : unit =
@@ -416,12 +404,8 @@ let dispatch (path : string) (j : Json.t) : unit =
       match Json.member "report" j with
       | Some r -> check_bench ~plan_cache:false path r
       | None -> fail "history envelope missing \"report\"")
-  | Some (Json.Str "dcir-interp-bench/1") -> check_interp_bench j
-  | Some (Json.Str "dcir-interp-bench/2") ->
+  | Some (Json.Str "dcir-interp-bench/4") ->
       check_interp_bench j;
-      check_parallel_bench j
-  | Some (Json.Str "dcir-interp-bench/3") ->
-      check_interp_bench ~bytecode:true j;
       check_parallel_bench j
   | Some (Json.Str "dcir-incidents/1") -> check_incidents j
   | Some (Json.Str "dcir-events/1") -> check_events j

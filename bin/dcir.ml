@@ -103,19 +103,16 @@ let jobs_arg =
                  machine metrics are bit-identical for every value.")
 
 let interp_conv : Pipelines.interp_mode Arg.conv =
-  Arg.enum
-    [ ("tree", `Tree); ("compiled", `Compiled); ("bytecode", `Bytecode);
-      ("adaptive", `Adaptive) ]
+  Arg.enum [ ("tree", `Tree); ("fast", `Fast) ]
 
 let interp_arg =
-  Arg.(value & opt interp_conv `Compiled
-       & info [ "interp" ] ~docv:"TIER"
-           ~doc:"Execution tier for SDFG pipelines: $(b,tree) (reference \
-                 walker), $(b,compiled) (closure plans), $(b,bytecode) \
-                 (flat VM with preallocated frames), or $(b,adaptive) \
-                 (profiler-driven tier-up between plans and bytecode). \
+  Arg.(value & opt interp_conv `Fast
+       & info [ "interp" ] ~docv:"ENGINE"
+           ~doc:"Execution engine: $(b,fast) (the closure-compiled \
+                 interpreter for MLIR products, the flat bytecode VM for \
+                 SDFG products) or $(b,tree) (the reference walkers). \
                  Outputs, traps and machine metrics are bit-identical \
-                 across tiers.")
+                 across engines.")
 
 (* ------------------------------------------------------------------ *)
 (* Resource-budget flags, shared by run/bench/fuzz (see README

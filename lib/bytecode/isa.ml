@@ -1,10 +1,9 @@
-(** The flat-bytecode instruction set — the third execution tier.
+(** The flat-bytecode instruction set of the fast SDFG engine.
 
     A program is a single [instr array] executed by one dispatch loop
     ({!Vm}); all operands are integer indices into a preallocated
-    {!frame}. Where the compiled closure plans ({!Dcir_sdfg.Interp})
-    allocate a fresh slot array per tasklet execution and an index list
-    per memlet access, the bytecode tier indexes fixed registers:
+    {!frame}. Instead of allocating a slot array per tasklet execution
+    and an index list per memlet access, the VM indexes fixed registers:
 
     - [vals]  — tasklet connector slots and assignment results;
     - [ints]  — loop induction variables, range bounds, interstate
@@ -20,14 +19,14 @@
     state machine runs without hashtable lookups or list scans.
 
     Bit-identity contract: instructions drive the same {!Machine}
-    charge helpers in the same order as the tree walker and the
-    compiled plans, so outputs, traps and every machine metric agree
-    across all three tiers. Symbolic index expressions and tasklet
-    bodies that do not fit a specialized opcode reuse the plan
-    compiler's closures ([Interp.compile_expr] / [Interp.compile_texpr])
-    unchanged — exactness by construction, with the specialized forms
-    ([Copy1], [Bin], [DivT], [FusedBin]) reserved for shapes whose
-    charge sequence is statically known. *)
+    charge helpers in the same order as the tree walker
+    ({!Dcir_sdfg.Interp}), so outputs, traps and every machine metric
+    agree with it. Symbolic index expressions and tasklet bodies that do
+    not fit a specialized opcode use the walker's closure compilers
+    ([Interp.compile_expr] / [Interp.compile_texpr]) — exactness by
+    construction, with the specialized forms ([Copy1], [Bin], [DivT],
+    [FusedBin]) reserved for shapes whose charge sequence is statically
+    known. *)
 
 open Dcir_machine
 module Interp = Dcir_sdfg.Interp
@@ -45,14 +44,14 @@ type instr =
   | Jmp of int
   | Step  (** one budget step: state transition or graph execution *)
   | Reraise of exn
-      (** deferred lowering failure — fires where lazy per-state plan
-          compilation would have raised *)
+      (** deferred lowering failure (a cyclic dataflow graph, a dangling
+          copy edge) — fires exactly where the tree walker raises it *)
   | TrapNow of string  (** precomputed always-trap (non-index subsets, …) *)
   (* -- state machine ----------------------------------------------- *)
   | StateSnap of { slot : int }
   | StateRec of { slot : int; label : string }
   | AllocState of { c : Sdfg.container; shape : iexpr list }
-      (** per-state heap allocation charge (mirrors [exec_cstate]) *)
+      (** per-state heap allocation charge (mirrors [Interp.exec_state]) *)
   | ChargeBranch
   | EdgeCond of {
       cond : Interp.runtime -> bool;
@@ -80,7 +79,13 @@ type instr =
       body : program;
     }
   (* -- memlet copies ------------------------------------------------ *)
-  | CopyND of Interp.ccopy  (** general fallback: plan-compiled copy *)
+  | CopyND of {
+      src : string;
+      dst : string;
+      wcr : Sdfg.wcr option;
+      sdims : crange list;
+      ddims : crange list;
+    }  (** general N-d region copy ([Interp.copy_subset]) *)
   | Copy1 of {
       src : string;
       sslot : int;
@@ -105,7 +110,7 @@ type instr =
   | LoadLast of { dst : int; key : string; tname : string }
       (** fill from a direct tasklet-to-tasklet value edge *)
   | Eval of { dst : int; f : Interp.runtime -> Value.t array -> Value.t }
-      (** general tasklet assignment: plan-compiled body over [vals] *)
+      (** general tasklet assignment: compiled body over [vals] *)
   | Bin of { dst : int; op : Texpr.binop; a : int; b : int }
   | DivT of { dst : int; a : int; b : int }
       (** explicit trap-carrying division *)

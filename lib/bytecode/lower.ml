@@ -1,10 +1,9 @@
 (** Lowering from SDFGs to flat bytecode programs.
 
-    Structurally this mirrors {!Dcir_sdfg.Interp}'s plan compiler
-    ([compile_state] / [compile_graph] / [compile_tasklet]) — the same
-    walks, in the same order, producing the same closures for symbolic
-    expressions and general tasklet bodies — but emits a single flat
-    code array with preallocated frame slots instead of a closure tree:
+    The walks mirror the tree walker ({!Dcir_sdfg.Interp}) — the same
+    traversal order, the same closures for symbolic expressions and
+    general tasklet bodies — but emit a single flat code array with
+    preallocated frame slots:
 
     - tasklet connector slots and assignment results get fixed indices
       in the frame's value array (no per-execution [Array.make]);
@@ -14,13 +13,13 @@
       state's edge tests chain via [if_false] pcs and taken edges [Jmp]
       straight to the destination state's entry pc.
 
-    States lower eagerly. The compiled tier compiles states lazily, so
-    a malformed state (e.g. a cyclic dataflow graph) only raises when
-    first executed; to keep failure timing identical, each state is
-    probed with [Interp.compile_state] first and a failing state's
-    entry points become [Reraise] instructions carrying the probe's
-    exception — executed exactly where the lazy compile would have
-    raised. *)
+    States lower eagerly, while the walker meets a malformed graph (a
+    cyclic dataflow graph, a copy edge to a missing node) only when it
+    executes it. Lowering therefore catches those failures itself and
+    emits a [Reraise] carrying the exception at the exact point where
+    the walker raises it — after the same charges — so a malformed state
+    that is never reached never fails, and one that is reached fails
+    with identical metrics. *)
 
 module Interp = Dcir_sdfg.Interp
 module Sdfg = Dcir_sdfg.Sdfg
@@ -123,7 +122,7 @@ let finish (b : builder) (sdfg : Sdfg.t) : program =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Tasklets. Mirrors [Interp.compile_tasklet]: bindings accumulate in
+(* Tasklets. Mirrors [Interp.exec_tasklet_body]: bindings accumulate in
    in-edge order, List.assoc picks the first occurrence, shadowed
    scalar fills still execute (and charge). The binding environment
    holds absolute frame-slot indices, so [Interp.compile_texpr] bodies
@@ -179,7 +178,7 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
     (Sdfg.node_in_edges g n);
   let benv = List.rev !benv in
   (* Body: assignment results land in a contiguous frame region so the
-     writes can index them like the plan's output-value array. *)
+     writes can index them by output position. *)
   let body_instrs, outnames, obase =
     match t.code with
     | Sdfg.Native assigns ->
@@ -244,7 +243,8 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
   let setouts =
     List.mapi (fun i key -> SetOut { key; src = obase + i }) outkeys
   in
-  (* Writes, per out-edge in edge order; [compile_write] semantics. *)
+  (* Writes, per out-edge in edge order; [Interp.write_outputs]
+     semantics. *)
   let rec index_of i conn = function
     | [] -> None
     | x :: _ when String.equal x conn -> Some i
@@ -306,31 +306,47 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
   ignore (emit b (TaskRec { slot = snap; name = t.tname }))
 
 (* ------------------------------------------------------------------ *)
-(* Graphs: one [Step] at entry (exec_cgraph's budget charge), then the
-   nodes in topological order. *)
+(* Graphs: one [Step] at entry (exec_graph's budget charge), then the
+   nodes in topological order. A cyclic graph raises from the walker's
+   topological sort right after that step, so it lowers to [Step;
+   Reraise]. *)
 
 let rec lower_graph (b : builder) (sdfg : Sdfg.t) (g : Sdfg.graph) : unit =
   ignore (emit b Step);
-  List.iter
-    (fun (n : Sdfg.node) ->
-      match n.kind with
-      | Sdfg.Access _ ->
-          List.iter
-            (fun (e : Sdfg.edge) ->
-              match ((Sdfg.node_by_id g e.e_dst).kind, e.e_memlet) with
-              | Sdfg.Access dst_name, Some m ->
-                  let dst_subset =
-                    match m.other with
-                    | Some o -> o
-                    | None -> m.subset (* same-region copy *)
-                  in
-                  lower_copy b ~src:m.data ~dst:dst_name ~wcr:m.wcr
-                    ~src_subset:m.subset ~dst_subset
-              | _ -> ())
-            (Sdfg.node_out_edges g n)
-      | Sdfg.TaskletN t -> lower_tasklet b g n t
-      | Sdfg.MapN mn -> lower_map b sdfg mn)
-    (Sdfg.topo_order g)
+  match Sdfg.topo_order g with
+  | exception e -> ignore (emit b (Reraise e))
+  | order ->
+      List.iter
+        (fun (n : Sdfg.node) ->
+          match n.kind with
+          | Sdfg.Access _ -> lower_copies b g n
+          | Sdfg.TaskletN t -> lower_tasklet b g n t
+          | Sdfg.MapN mn -> lower_map b sdfg mn)
+        order
+
+(* An access node's outgoing copies, in edge order. A copy edge whose
+   destination is not in the graph raises where the walker's lookup
+   does: after the earlier copies ran. *)
+and lower_copies (b : builder) (g : Sdfg.graph) (n : Sdfg.node) : unit =
+  let rec go = function
+    | [] -> ()
+    | (e : Sdfg.edge) :: rest -> (
+        match Sdfg.node_by_id g e.e_dst with
+        | exception ex -> ignore (emit b (Reraise ex))
+        | dst ->
+            (match (dst.kind, e.e_memlet) with
+            | Sdfg.Access dst_name, Some m ->
+                let dst_subset =
+                  match m.other with
+                  | Some o -> o
+                  | None -> m.subset (* same-region copy *)
+                in
+                lower_copy b ~src:m.data ~dst:dst_name ~wcr:m.wcr
+                  ~src_subset:m.subset ~dst_subset
+            | _ -> ());
+            go rest)
+  in
+  go (Sdfg.node_out_edges g n)
 
 and lower_copy (b : builder) ~(src : string) ~(dst : string)
     ~(wcr : Sdfg.wcr option) ~(src_subset : Range.t) ~(dst_subset : Range.t) :
@@ -353,28 +369,53 @@ and lower_copy (b : builder) ~(src : string) ~(dst : string)
     | _ ->
         CopyND
           {
-            Interp.cc_src = src;
-            cc_dst = dst;
-            cc_wcr = wcr;
-            cc_src_dims = List.map Interp.compile_range_dim src_subset;
-            cc_dst_dims = List.map Interp.compile_range_dim dst_subset;
+            src;
+            dst;
+            wcr;
+            sdims = List.map Interp.compile_range_dim src_subset;
+            ddims = List.map Interp.compile_range_dim dst_subset;
           }
   in
   ignore (emit b i)
 
 and lower_map (b : builder) (sdfg : Sdfg.t) (mn : Sdfg.map_node) : unit =
+  let eval_ranges () =
+    List.map
+      (fun rd ->
+        let lo = alloc_int b and hi = alloc_int b and step = alloc_int b in
+        let r = Interp.compile_range_dim rd in
+        ignore (emit b (EvalRange { lo; hi; step; r }));
+        (lo, hi, step))
+      mn.m_ranges
+  in
   match mn.m_par with
-  | Some cert when mn.m_params <> [] ->
-      let body = lower_body sdfg mn.m_body in
-      ignore
-        (emit b
-           (ParMap
-              {
-                cert;
-                params = mn.m_params;
-                ranges = List.map Interp.compile_range_dim mn.m_ranges;
-                body;
-              }))
+  | Some cert when mn.m_params <> [] -> (
+      (* The walker sorts the body and every nested map body before
+         forking (after evaluating the ranges), so a cycle anywhere
+         inside raises there, whatever the trip count. *)
+      let rec check_acyclic (g : Sdfg.graph) : unit =
+        ignore (Sdfg.topo_order g);
+        List.iter
+          (fun (n : Sdfg.node) ->
+            match n.kind with
+            | Sdfg.MapN inner -> check_acyclic inner.m_body
+            | Sdfg.Access _ | Sdfg.TaskletN _ -> ())
+          (Sdfg.nodes g)
+      in
+      match check_acyclic mn.m_body with
+      | exception e ->
+          ignore (eval_ranges ());
+          ignore (emit b (Reraise e))
+      | () ->
+          ignore
+            (emit b
+               (ParMap
+                  {
+                    cert;
+                    params = mn.m_params;
+                    ranges = List.map Interp.compile_range_dim mn.m_ranges;
+                    body = lower_body sdfg mn.m_body;
+                  })))
   | Some _ | None ->
       (* Serial nest: all range bounds evaluate up front (lo, hi, step
          per range, in range order), then the saved symbol bindings, then
@@ -382,16 +423,7 @@ and lower_map (b : builder) (sdfg : Sdfg.t) (mn : Sdfg.map_node) : unit =
          depth where the walk diverges — outer loops still run. *)
       let nranges = List.length mn.m_ranges in
       let nparams = List.length mn.m_params in
-      let regs =
-        List.map
-          (fun rd ->
-            let lo = alloc_int b and hi = alloc_int b and step = alloc_int b in
-            ignore
-              (emit b
-                 (EvalRange { lo; hi; step; r = Interp.compile_range_dim rd }));
-            (lo, hi, step))
-          mn.m_ranges
-      in
+      let regs = eval_ranges () in
       let saves =
         List.map
           (fun p ->
@@ -437,13 +469,12 @@ and lower_body (sdfg : Sdfg.t) (g : Sdfg.graph) : program =
 (* States and the flattened interstate machine. *)
 
 let lower_state (b : builder) (sdfg : Sdfg.t) (s : Sdfg.state)
-    ~(state_pc : (string, int) Hashtbl.t)
-    ~(failed : (string, exn) Hashtbl.t) : unit =
+    ~(state_pc : (string, int) Hashtbl.t) : unit =
   ignore (emit b Step);
   let snap = alloc_snap b in
   ignore (emit b (StateSnap { slot = snap }));
   (* Allocation-charge candidates in container-table iteration order
-     (same Hashtbl.iter as the tree walker and [compile_state]). *)
+     (the same Hashtbl.iter as the tree walker's [exec_state]). *)
   let allocs = ref [] in
   Hashtbl.iter
     (fun _ (c : Sdfg.container) ->
@@ -456,30 +487,19 @@ let lower_state (b : builder) (sdfg : Sdfg.t) (s : Sdfg.state)
   lower_graph b sdfg s.s_graph;
   let outs = Sdfg.out_edges sdfg s.s_label in
   if List.length outs > 1 then ignore (emit b ChargeBranch);
-  (* Transition tail shared by every taken edge and the fallthrough:
-     run_compiled resolves the next state (which may raise for a
-     malformed destination) before recording the profile entry, so the
-     [Reraise] slot precedes [StateRec]. *)
+  (* Transition tail shared by every taken edge and the fallthrough: the
+     profile entry, then the jump (a missing destination ends the run,
+     like the walker's failed state lookup). *)
   let emit_tail (dst : string option) : unit =
-    (match dst with
-    | Some d when Hashtbl.mem failed d || not (Hashtbl.mem state_pc d) ->
-        (* patched below once all states are laid out *)
-        ignore
-          (emit_patch b (fun () ->
-               match Hashtbl.find_opt failed d with
-               | Some e -> Reraise e
-               | None -> StateRec { slot = snap; label = s.s_label }))
-    | _ -> ignore (emit b (StateRec { slot = snap; label = s.s_label })));
+    ignore (emit b (StateRec { slot = snap; label = s.s_label }));
     match dst with
     | None -> ignore (emit b Halt)
     | Some d ->
         ignore
           (emit_patch b (fun () ->
-               if Hashtbl.mem failed d then Halt (* unreachable *)
-               else
-                 match Hashtbl.find_opt state_pc d with
-                 | Some pc -> Jmp pc
-                 | None -> Halt (* missing destination state *)))
+               match Hashtbl.find_opt state_pc d with
+               | Some pc -> Jmp pc
+               | None -> Halt))
   in
   List.iter
     (fun (e : Sdfg.istate_edge) ->
@@ -505,46 +525,21 @@ let lower_state (b : builder) (sdfg : Sdfg.t) (s : Sdfg.state)
     outs;
   emit_tail None
 
-(* The StateRec-vs-Reraise choice above keys off [failed] and
-   [state_pc], which are only complete after every state has been laid
-   out — hence the always-patch form for edges to unknown-at-emit-time
-   destinations. Edges to already-laid-out healthy states still go
-   through the patch list, which is resolved in [finish]. *)
-
 let lower (sdfg : Sdfg.t) : program =
   let b = new_builder () in
   let state_pc : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let failed : (string, exn) Hashtbl.t = Hashtbl.create 4 in
-  (* Probe every state with the plan compiler so a lowering failure
-     carries exactly the exception lazy compilation would raise. *)
-  List.iter
-    (fun (s : Sdfg.state) ->
-      match Interp.compile_state sdfg s with
-      | (_ : Interp.cstate) -> ()
-      | exception e -> Hashtbl.replace failed s.s_label e)
-    (Sdfg.states sdfg);
   let entry_ref = ref (-1) in
   ignore (emit_patch b (fun () -> Jmp !entry_ref));
   List.iter
     (fun (s : Sdfg.state) ->
-      if not (Hashtbl.mem failed s.s_label) then begin
-        Hashtbl.replace state_pc s.s_label b.len;
-        lower_state b sdfg s ~state_pc ~failed
-      end)
+      Hashtbl.replace state_pc s.s_label b.len;
+      lower_state b sdfg s ~state_pc)
     (Sdfg.states sdfg);
-  (* Entry: run_compiled looks up the start state before its loop — a
-     missing start halts without charging a step; a failed one raises
-     before anything else. *)
+  (* A missing start state halts without charging a step, like the
+     walker's failed start lookup. *)
   let halt_pc = emit b Halt in
   (entry_ref :=
-     match Hashtbl.find_opt failed sdfg.start_state with
-     | Some _ -> halt_pc (* overridden below *)
-     | None -> (
-         match Hashtbl.find_opt state_pc sdfg.start_state with
-         | Some pc -> pc
-         | None -> halt_pc));
-  let p = finish b sdfg in
-  (match Hashtbl.find_opt failed sdfg.start_state with
-  | Some e -> p.p_code.(0) <- Reraise e
-  | None -> ());
-  p
+     match Hashtbl.find_opt state_pc sdfg.start_state with
+     | Some pc -> pc
+     | None -> halt_pc);
+  finish b sdfg

@@ -1,17 +1,15 @@
 (** The bytecode dispatch loop — one [while] over a flat code array.
 
     Every instruction drives the same {!Dcir_machine.Machine} charge
-    helpers as the tree walker and the compiled plans, in the same
-    order, so outputs, traps and machine metrics are bit-identical
-    across all three tiers (the fuzz oracle and
+    helpers as the tree walker, in the same order, so outputs, traps and
+    machine metrics are bit-identical to it (the fuzz oracle and
     [test/test_interp_plans.ml] enforce this). What disappears is pure
     interpretation overhead: per-tasklet slot-array allocation, index
-    lists, closure-tree dispatch, and the interstate edge scan.
+    lists, tree dispatch, and the interstate edge scan.
 
-    Certified parallel maps delegate to {!Interp.exec_par_chunks} — the
+    Certified parallel maps run on {!Interp.exec_par_chunks} — the
     chunked schedule, forked machines and deterministic metric merge are
-    shared with the compiled tier; only the chunk bodies execute as
-    bytecode. *)
+    the walker's; only the chunk bodies execute as bytecode. *)
 
 open Dcir_machine
 module Interp = Dcir_sdfg.Interp
@@ -169,7 +167,9 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
         Interp.exec_par_chunks rt cert ~params ~dims ~body:(fun crt ->
             exec crt body)
     (* -- memlet copies --------------------------------------------- *)
-    | CopyND cc -> Interp.exec_ccopy rt cc
+    | CopyND { src; dst; wcr; sdims; ddims } ->
+        Interp.copy_subset rt ~src ~dst ~wcr ~eval_dim:(Interp.eval_crange rt)
+          sdims ddims
     | Copy1 { src; sslot; dst; dslot; wcr; sr; dr } ->
         let sbuf, sdims = cached rt fr sslot src in
         let dbuf, ddims = cached rt fr dslot dst in
@@ -287,46 +287,10 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
         Array.blit vals 0 fr.vals obase (Array.length vals)
   done
 
-(** [run p ~buffers ~symbols] executes a lowered program; mirrors
-    {!Interp.run}'s runtime construction, argument binding, missing-
-    buffer validation and return-value logic exactly. *)
-let run ?(machine : Machine.t option)
-    ?(profile : Dcir_obs.Obs.Profile.t option) ?(jobs : int = 1)
-    (p : program) ~(buffers : (string * Machine.buffer * int array) list)
-    ~(symbols : (string * int) list) () : Interp.result =
-  let machine = match machine with Some m -> m | None -> Machine.create () in
-  let rt =
-    {
-      Interp.machine;
-      sdfg = p.p_sdfg;
-      buffers = Hashtbl.create 32;
-      dims = Hashtbl.create 32;
-      symbols = Hashtbl.create 32;
-      topo_cache = Hashtbl.create 32;
-      alloc_charged = Hashtbl.create 16;
-      last_outputs = Hashtbl.create 32;
-      budget = Machine.budget machine;
-      profile;
-      prepared = Hashtbl.create 8;
-      jobs = max 1 jobs;
-    }
-  in
-  List.iter (fun (s, v) -> Hashtbl.replace rt.Interp.symbols s v) symbols;
-  List.iter
-    (fun (name, buf, dims) ->
-      Hashtbl.replace rt.Interp.buffers name buf;
-      Hashtbl.replace rt.Interp.dims name dims)
-    buffers;
-  Hashtbl.iter
-    (fun name (c : Sdfg.container) ->
-      if (not c.transient) && not (Hashtbl.mem rt.Interp.buffers name) then
-        Interp.trap "missing buffer for argument '%s'" name)
-    p.p_sdfg.containers;
-  exec rt p;
-  let return_value =
-    match (p.p_sdfg.return_scalar, p.p_sdfg.return_expr) with
-    | Some name, _ -> Some (Machine.peek (Interp.buffer_of rt name) 0)
-    | None, Some e -> Some (Value.VInt (Interp.eval_expr rt e))
-    | None, None -> None
-  in
-  { Interp.return_value; machine }
+(** [run p ~buffers ~symbols] executes a lowered program; runtime
+    construction, argument binding and the return value are
+    {!Interp.execute}'s, shared with the tree walker. *)
+let run ?machine ?profile ?jobs (p : program) ~buffers ~symbols () :
+    Interp.result =
+  Interp.execute ?machine ?profile ?jobs p.p_sdfg ~buffers ~symbols (fun rt ->
+      exec rt p)

@@ -36,7 +36,7 @@ let events (x : t) : Events.t = x.ex_events
     into the narrative instead of escaping. *)
 let explain ?(tier = Pipelines.O2) ?(limits = Budget.default)
     ?(checked = true) ?(run = true) ?(jobs = 1)
-    ?(interp : Pipelines.interp_mode = `Compiled) (kind : Pipelines.kind)
+    ?(interp : Pipelines.interp_mode = `Fast) (kind : Pipelines.kind)
     ~(src : string) ~(entry : string) ~(args : unit -> Pipelines.arg list) ()
     : t =
   let evs = Events.create () in
@@ -221,56 +221,24 @@ let pp (ppf : Format.formatter) (x : t) : unit =
               (s "landed") (s "requested") (i "dropped")
       | "PLAN-HIT" ->
           flush ();
-          let what =
-            if s "artifact" = "bytecode" then "bytecode program"
-            else "execution plan"
-          in
-          Format.fprintf ppf "    [PLAN-HIT] %s reused (cache size %d)@." what
+          Format.fprintf ppf
+            "    [PLAN-HIT] bytecode program reused (cache size %d)@."
             (i "size")
       | "PLAN-MISS" ->
           flush ();
-          if s "artifact" = "bytecode" then
-            Format.fprintf ppf
-              "    [PLAN-MISS] bytecode program lowered, %d instruction(s) \
-               (cache size %d)@."
-              (i "instrs") (i "size")
-          else
-            Format.fprintf ppf
-              "    [PLAN-MISS] execution plan compiled (cache size %d)@."
-              (i "size")
+          Format.fprintf ppf
+            "    [PLAN-MISS] bytecode program lowered, %d instruction(s) \
+             (cache size %d)@."
+            (i "instrs") (i "size")
       | "PLAN-EVICT" ->
           flush ();
-          let what =
-            if s "artifact" = "bytecode" then "bytecode program"
-            else "plan"
-          in
           Format.fprintf ppf
-            "    [PLAN-EVICT] oldest %s evicted (cache size %d)@." what
+            "    [PLAN-EVICT] oldest bytecode program evicted (cache size %d)@."
             (i "size")
-      | "TIER-UP" ->
-          flush ();
-          if s "trigger" = "static" then
-            Format.fprintf ppf
-              "    [TIER-UP] program %s promoted to bytecode: static cost \
-               %d over threshold@."
-              (s "digest") (i "cost")
-          else
-            Format.fprintf ppf
-              "    [TIER-UP] program %s promoted to bytecode: %d cumulative \
-               cycle(s) over %d run(s)%s@."
-              (s "digest") (i "cycles") (i "runs")
-              (match s "hot_state" with
-              | "" -> ""
-              | hs -> Printf.sprintf " (hottest state '%s')" hs)
-      | "EXEC-TIER" ->
-          flush ();
-          Format.fprintf ppf
-            "    [EXEC-TIER] program %s runs at the %s tier (%s)@."
-            (s "digest") (s "tier") (s "reason")
       | "EXEC-MODE" ->
           flush ();
           Format.fprintf ppf
-            "    [EXEC-MODE] %s interpreter, %s plans, %d job(s)@." (s "ir")
+            "    [EXEC-MODE] %s interpreter, %s engine, %d job(s)@." (s "ir")
             (s "mode") (i "jobs")
       | "CHAOS-INJECT" ->
           flush ();

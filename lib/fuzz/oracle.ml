@@ -1,7 +1,7 @@
 (** Differential oracle: run one generated program through all the
-    pipelines — the five compilation pipelines, the bytecode execution
-    tier, and (optionally) the auto-parallelizing pipeline — and compare
-    against the unoptimized reference.
+    pipelines — the five compilation pipelines, the tree-vs-bytecode
+    engine differential, and (optionally) the auto-parallelizing
+    pipeline — and compare against the unoptimized reference.
 
     The reference is the direct Polygeist lowering executed with no
     optimization at all — the same baseline
@@ -158,19 +158,12 @@ let crash_failure (pipeline : string) (e : exn) : failure =
    BIT-IDENTICAL to its own serial execution: same output bits, same trap
    behaviour, same value of every machine metric. *)
 
-let bits_equal (a : Value.t) (b : Value.t) : bool =
-  match (a, b) with
-  | Value.VFloat x, Value.VFloat y ->
-      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | Value.VInt x, Value.VInt y -> x = y
-  | _ -> false
-
 let bitwise_divergence ~(what : string) (a : Pipelines.run_result)
     (b : Pipelines.run_result) : string option =
   if
     not
       (match (a.return_value, b.return_value) with
-      | Some x, Some y -> bits_equal x y
+      | Some x, Some y -> Value.equal x y
       | None, None -> true
       | _ -> false)
   then Some (Printf.sprintf "return value differs between %s" what)
@@ -181,7 +174,7 @@ let bitwise_divergence ~(what : string) (a : Pipelines.run_result)
            (fun (i, xs) (j, ys) ->
              i = j
              && Array.length xs = Array.length ys
-             && Array.for_all2 bits_equal xs ys)
+             && Array.for_all2 Value.equal xs ys)
            a.outputs b.outputs)
   then Some (Printf.sprintf "array outputs differ bitwise between %s" what)
   else if
@@ -228,55 +221,79 @@ let autopar_failures ~(checked : bool) ?reproducer_dir ~(jobs : int)
         | None -> [])
 
 (* ------------------------------------------------------------------ *)
-(* Seventh pipeline: the bytecode execution tier. Checked two ways — the
-   bytecode run must still agree with the reference (within rtol, like
-   any pipeline), and it must be BIT-IDENTICAL to the compiled-plan tier
-   on the same artifact: same output bits, same trap behaviour, same
-   value of every machine metric. The tiers only differ in host-side
+(* Seventh pipeline: the two SDFG engines. The dcir artifact runs on the
+   reference tree walker and on the bytecode VM (the fast engine every
+   other dcir run uses), and the two must be BIT-IDENTICAL: same output
+   bits and the same value of every machine metric and budget counter —
+   or, when the program traps or exhausts a budget, the same exception
+   after the same budget spend. The engines differ only in host-side
    dispatch, so any divergence at all is a lowering or VM bug. *)
 
-let bytecode_failures ~(checked : bool) ?reproducer_dir (case : Gen.case)
-    (ref_r : Pipelines.run_result) : failure list =
+let engine_failures ~(checked : bool) ~(limits : Budget.limits)
+    ?reproducer_dir (case : Gen.case) : failure list =
   match
-    try
-      let compiled =
-        Pipelines.compile ~checked ?reproducer_dir Pipelines.Dcir
-          ~src:case.src ~entry:case.entry
-      in
-      let plan =
-        Pipelines.run ~interp_mode:`Compiled compiled ~entry:case.entry
-          (case.args ())
-      in
-      let byte =
-        Pipelines.run ~interp_mode:`Bytecode compiled ~entry:case.entry
-          (case.args ())
-      in
-      Ok (plan, byte)
-    with e -> Error e
+    Pipelines.compile ~checked ?reproducer_dir Pipelines.Dcir ~src:case.src
+      ~entry:case.entry
   with
-  | Error e -> [ crash_failure "dcir-bytecode" e ]
-  | Ok (plan, byte) ->
-      (match divergence ref_r byte with
-      | Some msg ->
-          [ { f_pipeline = "dcir-bytecode"; f_kind = Divergence msg;
-              f_invalid = false } ]
-      | None -> [])
-      @ (match
-           bitwise_divergence ~what:"plan and bytecode tiers" plan byte
-         with
-        | Some msg ->
-            [ { f_pipeline = "dcir-bytecode-vs-plan";
-                f_kind = Divergence msg; f_invalid = false } ]
-        | None -> [])
+  | exception e -> [ crash_failure "dcir-bytecode" e ]
+  | compiled -> (
+      let run mode =
+        let budget = Budget.create ~limits () in
+        let r =
+          try
+            Ok
+              (Pipelines.run ~budget ~interp_mode:mode compiled
+                 ~entry:case.entry (case.args ()))
+          with e -> Error e
+        in
+        (r, (budget.Budget.steps, budget.Budget.allocs))
+      in
+      let tree, tree_spend = run `Tree in
+      let fast, fast_spend = run `Fast in
+      let diverge msg =
+        [ { f_pipeline = "dcir-bytecode-vs-tree"; f_kind = Divergence msg;
+            f_invalid = false } ]
+      in
+      let spend_msg =
+        if tree_spend = fast_spend then None
+        else
+          Some
+            (Printf.sprintf
+               "budget spend differs between tree walker and bytecode VM \
+                (%d/%d vs %d/%d steps/allocs)"
+               (fst tree_spend) (snd tree_spend) (fst fast_spend)
+               (snd fast_spend))
+      in
+      match (tree, fast) with
+      | Ok t, Ok f -> (
+          match
+            bitwise_divergence ~what:"tree walker and bytecode VM" t f
+          with
+          | Some msg -> diverge msg
+          | None -> Option.fold ~none:[] ~some:diverge spend_msg)
+      | Error et, Error ef ->
+          let xt = Printexc.to_string et and xf = Printexc.to_string ef in
+          if xt <> xf then
+            diverge
+              (Printf.sprintf "tree walker raised %s, bytecode VM raised %s"
+                 xt xf)
+          else Option.fold ~none:[] ~some:diverge spend_msg
+      | Ok _, Error e -> [ crash_failure "dcir-bytecode" e ]
+      | Error e, Ok _ ->
+          diverge
+            (Printf.sprintf
+               "tree walker raised %s, bytecode VM ran to completion"
+               (Printexc.to_string e)))
 
 (** Run [case] through the reference and all five pipelines; the empty
     list means every pipeline agreed with the unoptimized reference.
     [~checked] forwards to {!Pipelines.compile} (snapshot / re-verify /
     rollback around every optimization pass). [~parallel] adds the sixth,
     auto-parallelizing pipeline, whose [~jobs]-domain execution must match
-    its serial execution bit-for-bit. The seventh pipeline — the bytecode
-    execution tier on the dcir artifact — always runs, and must match the
-    compiled-plan tier bit-for-bit (outputs, traps, every machine metric).
+    its serial execution bit-for-bit. The seventh pipeline — the dcir
+    artifact on the tree walker and on the bytecode VM — always runs, in
+    trap-parity mode too, and the two engines must agree bit-for-bit
+    (outputs, traps, every machine metric and budget counter).
     [~limits] caps every compile (fuel) and run (steps, allocations) with
     a fresh budget; an exhausted budget surfaces as a crash failure naming
     the exceeded ceiling. *)
@@ -326,14 +343,7 @@ let check ?(checked = false) ?(parallel = false) ?(jobs = 3)
                   Pipelines.run ~budget:(fresh_budget ()) compiled
                     ~entry:case.entry (case.args ())))
             Pipelines.all_kinds
-          @ Option.to_list
-              (must_trap "dcir-bytecode" (fun () ->
-                   let compiled =
-                     Pipelines.compile ~checked ?reproducer_dir
-                       Pipelines.Dcir ~src:case.src ~entry:case.entry
-                   in
-                   Pipelines.run ~interp_mode:`Bytecode compiled
-                     ~entry:case.entry (case.args ())))
+          @ engine_failures ~checked ~limits ?reproducer_dir case
           @
           if parallel then
             Option.to_list
@@ -368,7 +378,7 @@ let check ?(checked = false) ?(parallel = false) ?(jobs = 3)
                       f_invalid = false }
               | None -> None))
         Pipelines.all_kinds
-      @ bytecode_failures ~checked ?reproducer_dir case ref_r
+      @ engine_failures ~checked ~limits ?reproducer_dir case
       @
       if parallel then
         autopar_failures ~checked ?reproducer_dir ~jobs case ref_r

@@ -45,12 +45,10 @@ let catalogue : (string * string) list =
     ("APAR-CERT", "autopar: loop certified parallel (map conversion)");
     ("APAR-REFUSE", "autopar: loop refused, with the conflict witness");
     ("BUDGET-SPEND", "resource budget spent by a phase (fuel/steps/allocs)");
-    ("PLAN-HIT", "execution plan cache hit");
-    ("PLAN-MISS", "execution plan cache miss (plan compiled)");
-    ("PLAN-EVICT", "execution plan cache eviction (LRU bound)");
-    ("EXEC-MODE", "interpreter mode chosen for a run (tree/compiled, jobs)");
-    ("TIER-UP", "adaptive tier: program promoted to the bytecode tier");
-    ("EXEC-TIER", "adaptive tier: execution tier chosen for one run");
+    ("PLAN-HIT", "artifact store hit (bytecode program reused)");
+    ("PLAN-MISS", "artifact store miss (bytecode program lowered)");
+    ("PLAN-EVICT", "artifact store eviction (LRU bound)");
+    ("EXEC-MODE", "interpreter engine chosen for a run (tree/fast, jobs)");
     ("CHAOS-INJECT", "chaos harness injected a fault");
     ("CHAOS-CASE", "chaos campaign: generated case summary");
     ("CHAOS-OUTCOME", "chaos campaign: per-case verdict");

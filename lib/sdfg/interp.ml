@@ -42,7 +42,7 @@ type runtime = {
       (** when set, cycles/loads/stores attribution per state (partitioning
           total execution) and per tasklet (inclusive) *)
   prepared : (int, Dcir_mlir.Interp.prepared) Hashtbl.t;
-      (** compiled mode: per-node prepared MLIR contexts for opaque
+      (** bytecode VM: per-node prepared MLIR contexts for opaque
           tasklets, so their bodies compile once per run *)
   jobs : int;
       (** worker domains for certified parallel maps; 1 = run the chunked
@@ -91,8 +91,8 @@ let eval_expr (rt : runtime) (e : Expr.t) : int =
   | v -> v
   | exception Expr.Unbound_symbol s -> trap "unbound symbol '%s'" s
 
-(* Evaluation order is deliberately explicit (lo, hi, step) so the compiled
-   plan layer can mirror the charge sequence exactly. *)
+(* Evaluation order is deliberately explicit (lo, hi, step) so the bytecode
+   VM can mirror the charge sequence exactly. *)
 let eval_range_dim (rt : runtime) (d : Range.dim) : int * int * int =
   let lo = eval_expr rt d.lo in
   let hi = eval_expr rt d.hi in
@@ -209,8 +209,8 @@ type conn_value =
   | CScalar of Value.t
   | CArray of string  (** whole-container binding for indirect access *)
 
-(* Charge-and-compute helpers shared by the tree walker and the compiled
-   plans, so both modes are bit-identical by construction. Operands are
+(* Charge-and-compute helpers shared by the tree walker and the bytecode
+   VM, so both engines are bit-identical by construction. Operands are
    already evaluated (left-to-right) when these run. *)
 
 let apply_binop (m : Machine.t) (op : Texpr.binop) (va : Value.t)
@@ -512,13 +512,14 @@ let exec_par_chunks (rt : runtime) (cert : Sdfg.par_cert)
               | Some c -> c.dtype
               | None -> Sdfg.DFloat
             in
+            let identity = wcr_identity dtype w in
             let accu =
               Machine.alloc crt.machine ~storage:shared.storage
                 ~elems:shared.size ~elem_bytes:shared.elem_bytes
-                ~zero_init:(wcr_identity dtype w)
+                ~zero_init:identity
             in
             Hashtbl.replace crt.buffers nm accu;
-            (nm, w, accu))
+            (nm, w, identity, accu))
           reductions
       in
       (crt, accus)
@@ -561,14 +562,20 @@ let exec_par_chunks (rt : runtime) (cert : Sdfg.par_cert)
       | exception e -> failures.(c) <- Some e);
       if obs_on then chunk_t1.(c) <- Unix.gettimeofday ()
     in
+    (* An accumulator element still holding the identity leaves its shared
+       element untouched (combining would be a no-op, bar turning a -0.0
+       sum into +0.0). This keeps a nested reduction map inside a parallel
+       chunk from reading and writing back elements that other chunks own
+       and may be writing concurrently. *)
     let merge c =
       let crt, accus = chunks.(c) in
       List.iter
-        (fun (nm, w, (accu : Machine.buffer)) ->
+        (fun (nm, w, identity, (accu : Machine.buffer)) ->
           let shared = Hashtbl.find rt.buffers nm in
           for x = 0 to shared.size - 1 do
-            Machine.poke shared x
-              (combine_wcr w (Machine.peek shared x) (Machine.peek accu x))
+            let a = Machine.peek accu x in
+            if not (Value.equal a identity) then
+              Machine.poke shared x (combine_wcr w (Machine.peek shared x) a)
           done)
         accus;
       Metrics.add_into
@@ -627,6 +634,56 @@ let exec_par_chunks (rt : runtime) (cert : Sdfg.par_cert)
     end
   end
 
+(* One memlet copy [src] -> [dst]: materialize both buffers, evaluate the
+   subsets with [eval_dim] (the tree walker passes [eval_range_dim], the
+   bytecode VM its pre-compiled ranges), then move the elements. *)
+let copy_subset (rt : runtime) ~(src : string) ~(dst : string)
+    ~(wcr : Sdfg.wcr option) ~(eval_dim : 'd -> int * int * int)
+    (src_subset : 'd list) (dst_subset : 'd list) : unit =
+  let src_buf = buffer_of rt src in
+  let dst_buf = buffer_of rt dst in
+  let write_one dst_indices v =
+    let lin = linearize rt dst dst_indices in
+    match wcr with
+    | None -> Machine.store rt.machine dst_buf lin v
+    | Some w ->
+        let old_v = Machine.load rt.machine dst_buf lin in
+        Machine.store rt.machine dst_buf lin (apply_wcr rt w old_v v)
+  in
+  let src_dims = List.map eval_dim src_subset in
+  let dst_dims = List.map eval_dim dst_subset in
+  let single ds = List.for_all (fun (lo, hi, _) -> lo = hi) ds in
+  if single src_dims && single dst_dims then begin
+    (* Element or scalar copy — the common converter-generated case;
+       subset ranks may differ (array element <-> scalar). *)
+    let src_idx = List.map (fun (lo, _, _) -> lo) src_dims in
+    let dst_idx = List.map (fun (lo, _, _) -> lo) dst_dims in
+    let v = Machine.load rt.machine src_buf (linearize rt src src_idx) in
+    write_one dst_idx v
+  end
+  else begin
+    (* Region copy: iterate the source subset row-major and map offsets
+       into the destination subset. *)
+    if List.length src_dims <> List.length dst_dims then
+      trap "copy %s -> %s: subset rank mismatch" src dst;
+    let rec iter src_prefix dst_prefix = function
+      | [] ->
+          let v =
+            Machine.load rt.machine src_buf
+              (linearize rt src (List.rev src_prefix))
+          in
+          write_one (List.rev dst_prefix) v
+      | ((lo, hi, step), (dlo, _, dstep)) :: rest ->
+          let i = ref lo and k = ref 0 in
+          while !i <= hi do
+            iter (!i :: src_prefix) ((dlo + (!k * dstep)) :: dst_prefix) rest;
+            i := !i + step;
+            incr k
+          done
+    in
+    iter [] [] (List.combine src_dims dst_dims)
+  end
+
 let rec exec_graph (rt : runtime) (g : Sdfg.graph) : unit =
   charge_step rt;
   List.iter
@@ -643,56 +700,13 @@ and exec_access_copies (rt : runtime) (g : Sdfg.graph) (n : Sdfg.node) : unit =
     (fun (e : Sdfg.edge) ->
       match ((Sdfg.node_by_id g e.e_dst).kind, e.e_memlet) with
       | Sdfg.Access dst_name, Some m ->
-          let src_buf = buffer_of rt m.data in
-          let dst_buf = buffer_of rt dst_name in
           let dst_subset =
             match m.other with
             | Some o -> o
             | None -> m.subset (* same-region copy *)
           in
-          let write_one dst_indices v =
-            let lin = linearize rt dst_name dst_indices in
-            match m.wcr with
-            | None -> Machine.store rt.machine dst_buf lin v
-            | Some w ->
-                let old_v = Machine.load rt.machine dst_buf lin in
-                Machine.store rt.machine dst_buf lin (apply_wcr rt w old_v v)
-          in
-          let src_dims = List.map (eval_range_dim rt) m.subset in
-          let dst_dims = List.map (eval_range_dim rt) dst_subset in
-          let single ds = List.for_all (fun (lo, hi, _) -> lo = hi) ds in
-          if single src_dims && single dst_dims then begin
-            (* Element or scalar copy — the common converter-generated case;
-               subset ranks may differ (array element <-> scalar). *)
-            let src_idx = List.map (fun (lo, _, _) -> lo) src_dims in
-            let dst_idx = List.map (fun (lo, _, _) -> lo) dst_dims in
-            let v =
-              Machine.load rt.machine src_buf (linearize rt m.data src_idx)
-            in
-            write_one dst_idx v
-          end
-          else begin
-            (* Region copy: iterate the source subset row-major and map
-               offsets into the destination subset. *)
-            if List.length src_dims <> List.length dst_dims then
-              trap "copy %s -> %s: subset rank mismatch" m.data dst_name;
-            let rec iter src_prefix dst_prefix = function
-              | [] ->
-                  let v =
-                    Machine.load rt.machine src_buf
-                      (linearize rt m.data (List.rev src_prefix))
-                  in
-                  write_one (List.rev dst_prefix) v
-              | ((lo, hi, step), (dlo, _, dstep)) :: rest ->
-                  let i = ref lo and k = ref 0 in
-                  while !i <= hi do
-                    iter (!i :: src_prefix) ((dlo + (!k * dstep)) :: dst_prefix) rest;
-                    i := !i + step;
-                    incr k
-                  done
-            in
-            iter [] [] (List.combine src_dims dst_dims)
-          end
+          copy_subset rt ~src:m.data ~dst:dst_name ~wcr:m.wcr
+            ~eval_dim:(eval_range_dim rt) m.subset dst_subset
       | _ -> ())
     (Sdfg.node_out_edges g n)
 
@@ -707,7 +721,7 @@ and exec_tasklet (rt : runtime) (g : Sdfg.graph) (n : Sdfg.node)
 
 (* A connector is array-valued when the code indexes into it (native) or
    the corresponding parameter is a memref (opaque). Static per tasklet —
-   the compiled plans resolve it once. *)
+   the bytecode lowering resolves it once. *)
 and tasklet_array_conns (t : Sdfg.tasklet) : string list =
   match t.code with
   | Sdfg.Native assigns ->
@@ -929,19 +943,14 @@ let run_tree (rt : runtime) : unit =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Compiled execution plans.
+(* Symbolic closure compilers.
 
-   Each state is compiled once — on its first execution — into closures
-   with everything static pre-resolved: topological order, tasklet
-   expressions (connector lookups become array-slot reads), memlet subset
-   indices, interstate conditions and assignments, and the per-state
-   allocation-charge candidates. The closures drive the {e same} machine
-   helpers ([linearize], [buffer_of], [apply_binop], …) in the same order
-   as the tree walker, so charged cycles, loads, stores and allocation
-   addresses are bit-for-bit identical; only the interpretation overhead
-   (tree dispatch, assoc-list scans, repeated topo sorts) disappears. *)
-
-type mode = Tree | Compiled
+   The bytecode lowering ({!Dcir_bytecode.Lower}) pre-compiles symbolic
+   expressions, interstate conditions and general tasklet bodies into
+   closures over the runtime. Each compiler mirrors its tree-walking
+   evaluator arm by arm — same charge points, same traps, same
+   evaluation order — so the fast engine stays bit-identical to the
+   walker above by construction. *)
 
 (* Compiled symbolic expression; mirrors Expr.eval's left-to-right
    evaluation (the symbol environment may charge for scalar-container
@@ -1129,510 +1138,6 @@ let rec compile_texpr (benv : (string * cbind) list) (e : Texpr.t) :
         let vargs = List.map (fun c -> Value.as_float (c rt slots)) cargs in
         apply_call rt.machine fname vargs
 
-type crange = (runtime -> int) * (runtime -> int) * (runtime -> int)
-
-type cnode =
-  | CCopies of ccopy list  (** Access node's outgoing copies, in edge order *)
-  | CTasklet of ctask
-  | CMap of cmap
-
-and ccopy = {
-  cc_src : string;
-  cc_dst : string;
-  cc_wcr : Sdfg.wcr option;
-  cc_src_dims : crange list;
-  cc_dst_dims : crange list;
-}
-
-and ctask = {
-  ct_tname : string;
-  ct_fills : (runtime -> Value.t) array;
-      (** scalar connector slots, in in-edge order *)
-  ct_body : cbody;
-  ct_outkeys : string array;  (** last_outputs keys, in output order *)
-  ct_writes : (runtime -> Value.t array -> unit) array;
-      (** per out-edge, in edge order; indexes the output value array *)
-}
-
-and cbody =
-  | CNative of (runtime -> Value.t array -> Value.t) array
-  | COpaque of copaque
-
-and copaque = {
-  co_tname : string;
-  co_overhead : float;
-  co_modul : Dcir_mlir.Ir.modul;
-  co_entry : string;
-  co_nid : int;  (** prepared-context cache key *)
-  co_syms : string list;
-  co_args : coarg list;  (** per input connector, in [t_inputs] order *)
-}
-
-and coarg = COScalar of int | COArray of string | COUnbound of string
-
-and cmap = {
-  cm_params : string list;
-  cm_ranges : crange list;
-  cm_body : cgraph;
-  cm_par : Sdfg.par_cert option;
-}
-
-and cgraph = cnode array
-
-type cedge = {
-  ce_src : string;
-  ce_dst : string;
-  ce_cond : runtime -> bool;  (** raises Expr.Unbound_symbol *)
-  ce_assign : (string * (runtime -> int)) list;
-}
-
-type cstate = {
-  cs_label : string;
-  cs_allocs : (Sdfg.container * (runtime -> int) list) list;
-      (** heap containers charged at this state, in container-table order *)
-  cs_graph : cgraph;
-  cs_branch : bool;  (** more than one outgoing interstate edge *)
-  cs_edges : cedge list;
-}
-
-(** A compiled plan. Closures take the runtime as an argument, so one plan
-    is reusable across runs of the same (un-mutated) SDFG; states compile
-    lazily on first execution. *)
-type plan = {
-  pl_sdfg : Sdfg.t;
-  pl_states : (string, cstate) Hashtbl.t;
-}
-
-let compile_plan (sdfg : Sdfg.t) : plan =
-  { pl_sdfg = sdfg; pl_states = Hashtbl.create 16 }
-
-(* Compiled write of one output value (write_element order: buffer, then
-   linearize, then store). All validation traps fire at execution time,
-   never at compile time, so failure timing matches the tree walker. *)
-let compile_write (outnames : string list) (conn : string) (m : Sdfg.memlet)
-    : runtime -> Value.t array -> unit =
-  let rec index_of i = function
-    | [] -> None
-    | x :: _ when String.equal x conn -> Some i
-    | _ :: r -> index_of (i + 1) r
-  in
-  match index_of 0 outnames with
-  | None -> fun _ _ -> trap "no value computed for output connector '%s'" conn
-  | Some i ->
-      if List.for_all Range.is_index m.subset then
-        let cidxs =
-          List.map (fun (d : Range.dim) -> compile_expr d.lo) m.subset
-        in
-        fun rt vals ->
-          let indices = List.map (fun c -> ceval c rt) cidxs in
-          let buf = buffer_of rt m.data in
-          let lin = linearize rt m.data indices in
-          let v = vals.(i) in
-          (match m.wcr with
-          | None -> Machine.store rt.machine buf lin v
-          | Some w ->
-              let old_v = Machine.load rt.machine buf lin in
-              Machine.store rt.machine buf lin (apply_wcr rt w old_v v))
-      else fun _ _ -> trap "write memlet must be a single element (%s)" m.data
-
-let compile_tasklet (g : Sdfg.graph) (n : Sdfg.node) (t : Sdfg.tasklet) :
-    ctask =
-  let array_conns = tasklet_array_conns t in
-  (* Bindings accumulate in in-edge order; List.assoc picks the first
-     occurrence, like the tree walker's env. Every scalar fill still
-     executes (and charges) even for shadowed duplicates. *)
-  let fills = ref [] in
-  let benv = ref [] in
-  let nslots = ref 0 in
-  List.iter
-    (fun (e : Sdfg.edge) ->
-      match (e.e_dst_conn, e.e_memlet) with
-      | Some conn, Some m ->
-          if List.mem conn array_conns then
-            benv := (conn, CBArray m.data) :: !benv
-          else begin
-            let i = !nslots in
-            incr nslots;
-            let fill =
-              if List.for_all Range.is_index m.subset then
-                let cidxs =
-                  List.map (fun (d : Range.dim) -> compile_expr d.lo) m.subset
-                in
-                fun rt ->
-                  (* read_element order: linearize, then load. *)
-                  let indices = List.map (fun c -> ceval c rt) cidxs in
-                  let lin = linearize rt m.data indices in
-                  Machine.load rt.machine (buffer_of rt m.data) lin
-              else
-                let subset_s = Range.to_string m.subset in
-                fun _ ->
-                  trap
-                    "tasklet '%s': scalar connector '%s' with non-index \
-                     subset %s"
-                    t.tname conn subset_s
-            in
-            fills := fill :: !fills;
-            benv := (conn, CBScalar i) :: !benv
-          end
-      | Some conn, None -> (
-          match e.e_src_conn with
-          | Some src_conn ->
-              let key = Printf.sprintf "%d:%s" e.e_src src_conn in
-              let i = !nslots in
-              incr nslots;
-              fills :=
-                (fun rt ->
-                  match Hashtbl.find_opt rt.last_outputs key with
-                  | Some v -> v
-                  | None ->
-                      trap
-                        "tasklet '%s': value edge source %s not yet executed"
-                        t.tname key)
-                :: !fills;
-              benv := (conn, CBScalar i) :: !benv
-          | None -> ())
-      | _ -> ())
-    (Sdfg.node_in_edges g n);
-  let benv = List.rev !benv in
-  let fills = Array.of_list (List.rev !fills) in
-  let body, outnames =
-    match t.code with
-    | Sdfg.Native assigns ->
-        ( CNative
-            (Array.of_list
-               (List.map (fun (_, e) -> compile_texpr benv e) assigns)),
-          List.map fst assigns )
-    | Sdfg.Opaque f ->
-        let modul = Dcir_mlir.Ir.new_module () in
-        modul.funcs <- [ f ];
-        ( COpaque
-            {
-              co_tname = t.tname;
-              co_overhead = t.t_overhead;
-              co_modul = modul;
-              co_entry = f.Dcir_mlir.Ir.fname;
-              co_nid = n.nid;
-              co_syms = t.t_syms;
-              co_args =
-                List.map
-                  (fun conn ->
-                    match List.assoc_opt conn benv with
-                    | Some (CBScalar i) -> COScalar i
-                    | Some (CBArray data) -> COArray data
-                    | None -> COUnbound conn)
-                  t.t_inputs;
-            },
-          t.t_outputs )
-  in
-  let outkeys =
-    Array.of_list
-      (List.map (fun c -> Printf.sprintf "%d:%s" n.nid c) outnames)
-  in
-  let writes =
-    Array.of_list
-      (List.filter_map
-         (fun (e : Sdfg.edge) ->
-           match (e.e_src_conn, e.e_memlet) with
-           | Some conn, Some m -> Some (compile_write outnames conn m)
-           | _ -> None)
-         (Sdfg.node_out_edges g n))
-  in
-  { ct_tname = t.tname; ct_fills = fills; ct_body = body; ct_outkeys = outkeys; ct_writes = writes }
-
-let rec compile_graph (g : Sdfg.graph) : cgraph =
-  Array.of_list
-    (List.map
-       (fun (n : Sdfg.node) ->
-         match n.kind with
-         | Sdfg.Access _ ->
-             CCopies
-               (List.filter_map
-                  (fun (e : Sdfg.edge) ->
-                    match ((Sdfg.node_by_id g e.e_dst).kind, e.e_memlet) with
-                    | Sdfg.Access dst_name, Some m ->
-                        let dst_subset =
-                          match m.other with
-                          | Some o -> o
-                          | None -> m.subset (* same-region copy *)
-                        in
-                        Some
-                          {
-                            cc_src = m.data;
-                            cc_dst = dst_name;
-                            cc_wcr = m.wcr;
-                            cc_src_dims =
-                              List.map compile_range_dim m.subset;
-                            cc_dst_dims =
-                              List.map compile_range_dim dst_subset;
-                          }
-                    | _ -> None)
-                  (Sdfg.node_out_edges g n))
-         | Sdfg.TaskletN t -> CTasklet (compile_tasklet g n t)
-         | Sdfg.MapN mn ->
-             CMap
-               {
-                 cm_params = mn.m_params;
-                 cm_ranges = List.map compile_range_dim mn.m_ranges;
-                 cm_body = compile_graph mn.m_body;
-                 cm_par = mn.m_par;
-               })
-       (Sdfg.topo_order g))
-
-let compile_state (sdfg : Sdfg.t) (s : Sdfg.state) : cstate =
-  (* Allocation-charge candidates in container-table iteration order, so
-     charge order matches the tree walker's Hashtbl.iter. *)
-  let allocs = ref [] in
-  Hashtbl.iter
-    (fun _ (c : Sdfg.container) ->
-      if c.alloc_state = Some s.s_label && c.storage = Sdfg.Heap then
-        allocs := (c, List.map compile_expr c.shape) :: !allocs)
-    sdfg.containers;
-  let outs = Sdfg.out_edges sdfg s.s_label in
-  {
-    cs_label = s.s_label;
-    cs_allocs = List.rev !allocs;
-    cs_graph = compile_graph s.s_graph;
-    cs_branch = List.length outs > 1;
-    cs_edges =
-      List.map
-        (fun (e : Sdfg.istate_edge) ->
-          {
-            ce_src = e.ie_src;
-            ce_dst = e.ie_dst;
-            ce_cond = compile_bexpr e.ie_cond;
-            ce_assign =
-              List.map (fun (sym, ex) -> (sym, compile_expr ex)) e.ie_assign;
-          })
-        outs;
-  }
-
-let plan_state (pl : plan) (label : string) : cstate option =
-  match Hashtbl.find_opt pl.pl_states label with
-  | Some cs -> Some cs
-  | None -> (
-      match Sdfg.find_state pl.pl_sdfg label with
-      | None -> None
-      | Some s ->
-          let cs = compile_state pl.pl_sdfg s in
-          Hashtbl.replace pl.pl_states label cs;
-          Some cs)
-
-(* ------------------------------------------------------------------ *)
-(* Compiled execution. Mirrors exec_graph / exec_access_copies /
-   exec_tasklet / exec_map / exec_state step for step. *)
-
-let exec_ccopy (rt : runtime) (cc : ccopy) : unit =
-  let src_buf = buffer_of rt cc.cc_src in
-  let dst_buf = buffer_of rt cc.cc_dst in
-  let write_one dst_indices v =
-    let lin = linearize rt cc.cc_dst dst_indices in
-    match cc.cc_wcr with
-    | None -> Machine.store rt.machine dst_buf lin v
-    | Some w ->
-        let old_v = Machine.load rt.machine dst_buf lin in
-        Machine.store rt.machine dst_buf lin (apply_wcr rt w old_v v)
-  in
-  let src_dims = List.map (eval_crange rt) cc.cc_src_dims in
-  let dst_dims = List.map (eval_crange rt) cc.cc_dst_dims in
-  let single ds = List.for_all (fun (lo, hi, _) -> lo = hi) ds in
-  if single src_dims && single dst_dims then begin
-    let src_idx = List.map (fun (lo, _, _) -> lo) src_dims in
-    let dst_idx = List.map (fun (lo, _, _) -> lo) dst_dims in
-    let v = Machine.load rt.machine src_buf (linearize rt cc.cc_src src_idx) in
-    write_one dst_idx v
-  end
-  else begin
-    if List.length src_dims <> List.length dst_dims then
-      trap "copy %s -> %s: subset rank mismatch" cc.cc_src cc.cc_dst;
-    let rec iter src_prefix dst_prefix = function
-      | [] ->
-          let v =
-            Machine.load rt.machine src_buf
-              (linearize rt cc.cc_src (List.rev src_prefix))
-          in
-          write_one (List.rev dst_prefix) v
-      | ((lo, hi, step), (dlo, _, dstep)) :: rest ->
-          let i = ref lo and k = ref 0 in
-          while !i <= hi do
-            iter (!i :: src_prefix) ((dlo + (!k * dstep)) :: dst_prefix) rest;
-            i := !i + step;
-            incr k
-          done
-    in
-    iter [] [] (List.combine src_dims dst_dims)
-  end
-
-let rec exec_cgraph (rt : runtime) (g : cgraph) : unit =
-  charge_step rt;
-  Array.iter
-    (fun (cn : cnode) ->
-      match cn with
-      | CCopies copies -> List.iter (exec_ccopy rt) copies
-      | CTasklet ct -> exec_ctask rt ct
-      | CMap cm -> exec_cmap rt cm)
-    g
-
-and exec_ctask (rt : runtime) (ct : ctask) : unit =
-  match rt.profile with
-  | None -> exec_ctask_body rt ct
-  | Some _ ->
-      let snap = metric_snap rt in
-      exec_ctask_body rt ct;
-      profile_record rt snap ~kind:"tasklet" ~name:ct.ct_tname
-
-and exec_ctask_body (rt : runtime) (ct : ctask) : unit =
-  let nfills = Array.length ct.ct_fills in
-  let slots = Array.make nfills (Value.VInt 0) in
-  for i = 0 to nfills - 1 do
-    slots.(i) <- ct.ct_fills.(i) rt
-  done;
-  let vals =
-    match ct.ct_body with
-    | CNative assigns ->
-        let n = Array.length assigns in
-        let vals = Array.make n (Value.VInt 0) in
-        for i = 0 to n - 1 do
-          vals.(i) <- assigns.(i) rt slots
-        done;
-        vals
-    | COpaque co ->
-        Machine.charge rt.machine co.co_overhead;
-        let sym_args =
-          List.map
-            (fun s ->
-              match sym_env rt s with
-              | Some v -> Dcir_mlir.Interp.Scalar (Value.VInt v)
-              | None ->
-                  trap "opaque tasklet '%s': unbound symbol '%s'" co.co_tname s)
-            co.co_syms
-        in
-        let args =
-          List.map
-            (fun (a : coarg) ->
-              match a with
-              | COScalar i -> Dcir_mlir.Interp.Scalar slots.(i)
-              | COArray data ->
-                  Dcir_mlir.Interp.Buf
-                    { buf = buffer_of rt data; dims = dims_of rt data }
-              | COUnbound conn ->
-                  trap "opaque tasklet '%s': unbound connector '%s'"
-                    co.co_tname conn)
-            co.co_args
-        in
-        let prep =
-          match Hashtbl.find_opt rt.prepared co.co_nid with
-          | Some p -> p
-          | None ->
-              let p =
-                Dcir_mlir.Interp.prepare ?profile:rt.profile
-                  ~machine:rt.machine co.co_modul ~entry:co.co_entry
-              in
-              Hashtbl.replace rt.prepared co.co_nid p;
-              p
-        in
-        let results = Dcir_mlir.Interp.run_prepared prep (sym_args @ args) in
-        Array.of_list
-          (List.map2 (fun _ v -> v) (Array.to_list ct.ct_outkeys) results)
-  in
-  Array.iteri
-    (fun i key -> Hashtbl.replace rt.last_outputs key vals.(i))
-    ct.ct_outkeys;
-  Array.iter (fun w -> w rt vals) ct.ct_writes
-
-and exec_cmap (rt : runtime) (cm : cmap) : unit =
-  match cm.cm_par with
-  | Some cert when cm.cm_params <> [] ->
-      let dims = List.map (eval_crange rt) cm.cm_ranges in
-      exec_par_chunks rt cert ~params:cm.cm_params ~dims
-        ~body:(fun crt -> exec_cgraph crt cm.cm_body)
-  | Some _ | None -> exec_cmap_serial rt cm
-
-and exec_cmap_serial (rt : runtime) (cm : cmap) : unit =
-  let dims = List.map (eval_crange rt) cm.cm_ranges in
-  let saved =
-    List.map (fun p -> (p, Hashtbl.find_opt rt.symbols p)) cm.cm_params
-  in
-  let rec iter params dims =
-    match (params, dims) with
-    | [], [] -> exec_cgraph rt cm.cm_body
-    | p :: ps, (lo, hi, step) :: ds ->
-        let i = ref lo in
-        while !i <= hi do
-          Machine.charge_op rt.machine Int_alu;
-          Machine.charge_op rt.machine Branch;
-          Hashtbl.replace rt.symbols p !i;
-          iter ps ds;
-          i := !i + step
-        done
-    | _ -> trap "map params/ranges mismatch"
-  in
-  iter cm.cm_params dims;
-  List.iter
-    (fun (p, old) ->
-      match old with
-      | Some v -> Hashtbl.replace rt.symbols p v
-      | None -> Hashtbl.remove rt.symbols p)
-    saved
-
-let exec_cstate (rt : runtime) (cs : cstate) : unit =
-  List.iter
-    (fun ((c : Sdfg.container), cshape) ->
-      if c.alloc_in_loop || not (Hashtbl.mem rt.alloc_charged c.cname) then begin
-        Hashtbl.replace rt.alloc_charged c.cname ();
-        let bytes =
-          List.fold_left (fun acc cd -> acc * max 1 (ceval cd rt)) 1 cshape
-          * Sdfg.elem_bytes c
-        in
-        let pages = (bytes + 4095) / 4096 in
-        Machine.charge rt.machine
-          (rt.machine.cfg.malloc_cost
-          +. (rt.machine.cfg.malloc_per_page *. float_of_int pages)
-          +. if c.alloc_in_loop then rt.machine.cfg.free_cost else 0.0);
-        (Machine.metrics rt.machine).heap_allocs <-
-          (Machine.metrics rt.machine).heap_allocs + 1
-      end)
-    cs.cs_allocs;
-  exec_cgraph rt cs.cs_graph
-
-let run_compiled (rt : runtime) (pl : plan) : unit =
-  let machine = rt.machine in
-  let cur = ref (plan_state pl rt.sdfg.start_state) in
-  while !cur <> None do
-    (* each interstate transition is one budget step — the hang guard *)
-    charge_step rt;
-    let cs = Option.get !cur in
-    let snap = metric_snap rt in
-    exec_cstate rt cs;
-    if cs.cs_branch then Machine.charge_op machine Branch;
-    let taken =
-      List.find_opt
-        (fun (e : cedge) ->
-          match e.ce_cond rt with
-          | v -> v
-          | exception Expr.Unbound_symbol sym ->
-              trap "condition on edge %s->%s reads unbound symbol '%s'"
-                e.ce_src e.ce_dst sym)
-        cs.cs_edges
-    in
-    let next =
-      match taken with
-      | None -> None
-      | Some e ->
-          (* Evaluate all RHS with pre-assignment values, then commit. *)
-          let values =
-            List.map
-              (fun (sym, cex) ->
-                Machine.charge_op machine Int_alu;
-                (sym, ceval cex rt))
-              e.ce_assign
-          in
-          List.iter (fun (sym, v) -> Hashtbl.replace rt.symbols sym v) values;
-          plan_state pl e.ce_dst
-    in
-    profile_record rt snap ~kind:"state" ~name:cs.cs_label;
-    cur := next
-  done
-
 (* ------------------------------------------------------------------ *)
 
 type result = {
@@ -1640,20 +1145,19 @@ type result = {
   machine : Machine.t;
 }
 
-(** [run sdfg ~machine ~buffers ~symbols] executes the SDFG. [buffers] must
-    provide every non-transient container; [symbols] binds [arg_symbols]
-    (sizes and promoted scalar parameters). [profile] attributes
-    cycles/loads/stores per state — including the state's outgoing
-    transition costs, so the per-state entries partition the run's total —
-    and per tasklet (inclusive). [mode] selects tree-walking or compiled
-    execution plans (the default); both charge the machine identically.
-    [plan] supplies a pre-compiled (or cached, reusable across runs) plan
-    for this SDFG; ignored in tree mode. *)
-let run ?(machine : Machine.t option)
-    ?(profile : Dcir_obs.Obs.Profile.t option) ?(mode : mode = Compiled)
-    ?(plan : plan option) ?(jobs : int = 1) (sdfg : Sdfg.t)
-    ~(buffers : (string * Machine.buffer * int array) list)
-    ~(symbols : (string * int) list) () : result =
+(** [execute sdfg ~machine ~buffers ~symbols engine] builds a runtime for
+    [sdfg], binds the arguments, runs [engine] on it and reads the return
+    value. [buffers] must provide every non-transient container;
+    [symbols] binds [arg_symbols] (sizes and promoted scalar parameters).
+    [profile] attributes cycles/loads/stores per state — including the
+    state's outgoing transition costs, so the per-state entries partition
+    the run's total — and per tasklet (inclusive). Shared by the tree
+    walker ({!run}) and the bytecode VM, so both engines bind, validate
+    and return identically. *)
+let execute ?(machine : Machine.t option)
+    ?(profile : Dcir_obs.Obs.Profile.t option) ?(jobs : int = 1)
+    (sdfg : Sdfg.t) ~(buffers : (string * Machine.buffer * int array) list)
+    ~(symbols : (string * int) list) (engine : runtime -> unit) : result =
   let machine = match machine with Some m -> m | None -> Machine.create () in
   let rt =
     {
@@ -1684,15 +1188,7 @@ let run ?(machine : Machine.t option)
       if (not c.transient) && not (Hashtbl.mem rt.buffers name) then
         trap "missing buffer for argument '%s'" name)
     sdfg.containers;
-  (match mode with
-  | Tree -> run_tree rt
-  | Compiled ->
-      let pl =
-        match plan with
-        | Some p when p.pl_sdfg == sdfg -> p
-        | _ -> compile_plan sdfg
-      in
-      run_compiled rt pl);
+  engine rt;
   let return_value =
     match (sdfg.return_scalar, sdfg.return_expr) with
     | Some name, _ -> Some (Machine.peek (buffer_of rt name) 0)
@@ -1700,3 +1196,9 @@ let run ?(machine : Machine.t option)
     | None, None -> None
   in
   { return_value; machine }
+
+(** [run sdfg ~machine ~buffers ~symbols] executes the SDFG with the tree
+    walker — the reference engine the bytecode VM is held to. *)
+let run ?machine ?profile ?jobs (sdfg : Sdfg.t) ~buffers ~symbols () : result
+    =
+  execute ?machine ?profile ?jobs sdfg ~buffers ~symbols run_tree

@@ -51,17 +51,12 @@ type config = {
       (** fault plans keyed by (request, attempt) — deterministic and
           position-independent, preserving tenant isolation *)
   cfg_interp : Pipelines.interp_mode;
-      (** execution tier for run requests; [`Adaptive] journals each
-          tier choice as [EXEC-TIER] events and stays deterministic —
-          the tier-up registry is reset with the artifact stores, so the
-          same request sequence replays byte-identically *)
+      (** execution engine for run requests *)
   cfg_workers : int;
       (** worker domains; 1 = in-process sequential drain. Any N
           produces the same journal entries, responses and store
           telemetry as N = 1 — the worker count itself is recorded in
-          the config header so journals are self-describing.
-          [`Adaptive] interp mode forces the sequential drain (the
-          tier-up registry is commit-order state). *)
+          the config header so journals are self-describing. *)
   cfg_watchdog : int option;
       (** budget-step watchdog: caps any single attempt's step spend
           below the tenant's remaining quota, so one runaway request
@@ -80,7 +75,7 @@ let default_config : config =
     cfg_retries = 2;
     cfg_deadline = None;
     cfg_chaos = None;
-    cfg_interp = `Compiled;
+    cfg_interp = `Fast;
     cfg_workers = 1;
     cfg_watchdog = None;
   }
@@ -98,13 +93,7 @@ let config_fields (c : config) : (string * Json.t) list =
     ("retries", Json.Int c.cfg_retries);
     ( "deadline",
       match c.cfg_deadline with Some d -> Json.Int d | None -> Json.Null );
-    ( "interp",
-      Json.Str
-        (match c.cfg_interp with
-        | `Tree -> "tree"
-        | `Compiled -> "compiled"
-        | `Bytecode -> "bytecode"
-        | `Adaptive -> "adaptive") );
+    ("interp", Json.Str (Pipelines.interp_mode_name c.cfg_interp));
     ("workers", Json.Int c.cfg_workers);
     ( "watchdog",
       match c.cfg_watchdog with Some w -> Json.Int w | None -> Json.Null );
@@ -223,7 +212,7 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
     : report =
   (* A fresh, empty store of the configured capacity: cache hits and
      misses are part of the journal's determinism contract, so the run
-     must not inherit plans from earlier in the process. *)
+     must not inherit programs from earlier in the process. *)
   Pipelines.set_plan_cache_capacity config.cfg_plan_cache;
   let pc_hits0, pc_misses0, pc_evictions0 = pc_counts () in
   let journal = Sjournal.create () in
@@ -358,9 +347,7 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
     requests;
 
   (* ---- drain phase ------------------------------------------------ *)
-  (* [`Adaptive] keeps the sequential drain: the tier-up registry is
-     commit-order global state that workers cannot run ahead of. *)
-  let use_pool = config.cfg_workers > 1 && config.cfg_interp <> `Adaptive in
+  let use_pool = config.cfg_workers > 1 in
   let memo_mutex = Mutex.create () in
   let memo : (string, coalesced) Hashtbl.t = Hashtbl.create 16 in
   let coalesced_count = Atomic.make 0 in
@@ -568,7 +555,7 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
                   | _ -> ());
                   match rq.Request.rq_op with
                   | Request.Compile ->
-                      (* Warm the plan store: the artifact digest is the
+                      (* Warm the artifact store: the digest is the
                          store key, so a later run of the same program
                          hits. Invisible to the tenant — the compile was
                          already paid for above either way. *)
@@ -624,8 +611,7 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
                    ("attempts", Json.Int job.jb_attempts);
                  ]
                 @
-                (* Which execution tier actually ran (run requests only) —
-                   under [`Adaptive] this is the journaled tier choice. *)
+                (* Which execution engine ran (run requests only). *)
                 match result with
                 | Some r -> [ ("exec", Json.Str r.Pipelines.exec_tier) ]
                 | None -> []);

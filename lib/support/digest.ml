@@ -4,7 +4,7 @@
     randomization, no dependence on word size beyond the fixed 64-bit
     arithmetic of [Int64] — so the same printed program hashes to the
     same key on every machine and every run. That stability is what makes
-    the content-addressed plan store ({!Cstore}) reproducible: cache hits
+    the content-addressed artifact store ({!Cstore}) reproducible: cache hits
     and misses are part of the deterministic decision record, not an
     accident of process layout.
 

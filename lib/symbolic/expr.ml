@@ -257,7 +257,7 @@ let rec eval (env : string -> int option) (e : t) : int =
   | Div (a, b) ->
       (* Operand evaluation is explicitly left-to-right throughout: [env]
          may have charging side effects (scalar-container reads), and the
-         compiled-plan evaluator mirrors this exact order. *)
+         compiled-closure evaluator mirrors this exact order. *)
       let x = eval env a in
       let y = eval env b in
       if y = 0 then invalid_arg "Expr.eval: division by zero"

@@ -170,6 +170,49 @@ let test_icc_vector_math_faster () =
   in
   Alcotest.(check bool) "vector math wins on Mish" true (icc < base)
 
+(* Compilation must be a pure function of the source: the same program
+   compiled again after the process-global id counters have moved on (as
+   they do after any other compile) must print identically once serial
+   tokens are canonicalized. A pass that orders its work by value id
+   through a Hashtbl fold breaks this — reg-promote did, swapping the
+   promoted iter_args of gesummv on gcc/clang. *)
+let test_compile_history_independent () =
+  (* Canonical text with whitespace runs collapsed: the printer indents
+     nested regions by the width of the printed ids. *)
+  let canonical c =
+    let text =
+      match c with
+      | Pipelines.CMlir m -> Printer.module_to_string m
+      | Pipelines.CSdfg sdfg -> Dcir_sdfg.Printer.to_string sdfg
+    in
+    String.split_on_char ' '
+      (String.map
+         (fun ch -> if ch = '\n' || ch = '\t' then ' ' else ch)
+         (Dcir_support.Digest.canonical text))
+    |> List.filter (( <> ) "")
+    |> String.concat " "
+  in
+  let bump () =
+    Ir.global_ctx.next_vid <- Ir.global_ctx.next_vid + 997;
+    Ir.global_ctx.next_oid <- Ir.global_ctx.next_oid + 997;
+    ignore (Atomic.fetch_and_add Dcir_sdfg.Sdfg.node_counter 997)
+  in
+  List.iter
+    (fun (w : Dcir_workloads.Workload.t) ->
+      List.iter
+        (fun kind ->
+          let compile () =
+            canonical (Pipelines.compile kind ~src:w.src ~entry:w.entry)
+          in
+          let first = compile () in
+          bump ();
+          if not (String.equal first (compile ())) then
+            Alcotest.failf "%s on %s: recompiling after an id-counter bump \
+                            gives a different artifact"
+              w.name (Pipelines.kind_name kind))
+        Pipelines.all_kinds)
+    Dcir_workloads.Polybench.all
+
 let suite =
   ( "core",
     [
@@ -191,4 +234,6 @@ let suite =
       Alcotest.test_case "dcir never slower than mlir" `Slow
         test_dcir_not_slower_than_mlir;
       Alcotest.test_case "ICC vector math" `Quick test_icc_vector_math_faster;
+      Alcotest.test_case "compile is history-independent" `Slow
+        test_compile_history_independent;
     ] )

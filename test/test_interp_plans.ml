@@ -1,21 +1,37 @@
-(** Tests for compiled execution plans and the interpreter hot-path fixes.
+(** Differential tests for the execution engines and the interpreter
+    hot-path fixes.
 
-    The compiled plans ({!Dcir_sdfg.Interp} [~mode:Compiled],
-    {!Dcir_mlir.Interp} likewise) must be {e observably indistinguishable}
-    from the tree walkers: same outputs, same traps, and bit-identical
-    machine metrics — the cost model is the paper's measurement apparatus,
-    so a plan that changes cycle counts silently corrupts every figure.
-    These tests pin that contract on hand-built SDFGs, on the full
-    fixed-seed fuzz corpus, and on a Polybench subset, alongside the
-    hot-path bug sweep: symbol reads of scalar containers must charge a
-    load, float->int casts truncate toward zero and trap on NaN/inf in
-    both interpreters, and SDFG construction must stay linear. *)
+    Each IR has a reference tree walker and one fast engine: the flat
+    bytecode VM ({!Dcir_bytecode}) for SDFGs, the closure-compiled
+    interpreter ({!Dcir_mlir.Interp} [~mode:Compiled]) for MLIR. The fast
+    engines must be {e observably indistinguishable} from the walkers:
+    same outputs, same traps at the same point, and bit-identical machine
+    metrics — the cost model is the paper's measurement apparatus, so an
+    engine that changes cycle counts silently corrupts every figure.
+    These tests pin that contract on hand-built SDFGs (malformed ones
+    included), on the full fixed-seed fuzz corpus, and on a Polybench
+    subset, alongside the hot-path bug sweep: symbol reads of scalar
+    containers must charge a load, float->int casts truncate toward zero
+    and trap on NaN/inf in both interpreters, and SDFG construction must
+    stay linear. *)
 
 open Dcir_sdfg
 open Dcir_symbolic
 open Dcir_machine
 module Pipelines = Dcir_core.Pipelines
 module Metrics = Dcir_machine.Metrics
+
+(* The two SDFG engines, driven directly on a hand-built SDFG. *)
+type engine = Tree | Bytecode
+
+let run_engine (engine : engine) ?machine (sdfg : Sdfg.t) ~buffers ~symbols :
+    Interp.result =
+  match engine with
+  | Tree -> Interp.run ?machine sdfg ~buffers ~symbols ()
+  | Bytecode ->
+      Dcir_bytecode.Vm.run ?machine
+        (Dcir_bytecode.Lower.lower sdfg)
+        ~buffers ~symbols ()
 
 let mk_tasklet ?(syms = []) name ins outs code =
   {
@@ -46,7 +62,8 @@ let metrics_equal (a : Metrics.t) (b : Metrics.t) : bool =
 
 let check_metrics_equal label (a : Metrics.t) (b : Metrics.t) =
   if not (metrics_equal a b) then
-    Alcotest.failf "%s: tree and compiled metrics differ\ntree:\n%a\ncompiled:\n%a"
+    Alcotest.failf
+      "%s: tree and bytecode metrics differ\ntree:\n%a\nbytecode:\n%a"
       label Metrics.pp a Metrics.pp b
 
 let results_identical (a : Pipelines.run_result) (b : Pipelines.run_result) :
@@ -83,7 +100,7 @@ let symenv_sdfg () : Sdfg.t =
   sdfg.start_state <- "init";
   sdfg
 
-let run_symenv (mode : Interp.mode) : Metrics.t =
+let run_symenv (engine : engine) : Metrics.t =
   let machine = Machine.create () in
   let n =
     Machine.alloc machine ~storage:Machine.Heap ~elems:1 ~elem_bytes:8
@@ -91,17 +108,17 @@ let run_symenv (mode : Interp.mode) : Metrics.t =
   in
   Machine.poke n 0 (Value.VInt 5);
   let _ =
-    Interp.run ~machine ~mode (symenv_sdfg ()) ~buffers:[ ("n", n, [||]) ]
-      ~symbols:[] ()
+    run_engine engine ~machine (symenv_sdfg ()) ~buffers:[ ("n", n, [||]) ]
+      ~symbols:[]
   in
   Machine.metrics machine
 
 let test_symenv_scalar_load () =
-  let mt = run_symenv Interp.Tree in
+  let mt = run_symenv Tree in
   Alcotest.(check int) "scalar-container symbol read goes through the cache" 1
     mt.loads;
   Alcotest.(check bool) "load charged cycles" true (mt.cycles > 0.0);
-  check_metrics_equal "symenv" mt (run_symenv Interp.Compiled)
+  check_metrics_equal "symenv" mt (run_symenv Bytecode)
 
 (* ------------------------------------------------------------------ *)
 (* SDFG construction stays linear in the number of states *)
@@ -127,20 +144,20 @@ let test_construction_scale () =
   Alcotest.(check int) "all states present" n (List.length (Sdfg.states sdfg));
   Alcotest.(check bool) "find_state hits the last state" true
     (Sdfg.find_state sdfg (label (n - 1)) <> None);
-  (* And the whole chain executes identically in both modes. *)
-  let run mode =
+  (* And the whole chain executes identically on both engines. *)
+  let run engine =
     let machine = Machine.create () in
-    ignore (Interp.run ~machine ~mode sdfg ~buffers:[] ~symbols:[] ());
+    ignore (run_engine engine ~machine sdfg ~buffers:[] ~symbols:[]);
     Machine.metrics machine
   in
-  check_metrics_equal "10k-state chain" (run Interp.Tree) (run Interp.Compiled)
+  check_metrics_equal "10k-state chain" (run Tree) (run Bytecode)
 
 (* ------------------------------------------------------------------ *)
 (* float->int casts: truncation toward zero, trap on NaN/inf *)
 
 let cast_src = "int kernel_cast(double x) {\n  return (int)x;\n}\n"
 let cast_kinds = [ Pipelines.Mlir; Pipelines.Dcir ]
-let modes : Pipelines.interp_mode list = [ `Tree; `Compiled; `Bytecode ]
+let modes : Pipelines.interp_mode list = [ `Tree; `Fast ]
 
 let run_cast kind mode (x : float) : Pipelines.run_result =
   let compiled =
@@ -257,7 +274,8 @@ let test_float_mod_semantics () =
   Alcotest.(check bool) "fmod propagates nan" true
     (Value.equal (sdfg_fbin Texpr.BMod 3.0 Float.nan) (Value.VFloat Float.nan))
 
-(* Tasklet-level: the same ops through whole-SDFG execution, both modes. *)
+(* Tasklet-level: the same ops through whole-SDFG execution, both
+   engines. *)
 let fbin_sdfg () : Sdfg.t =
   let sdfg = Sdfg.create "fbin" in
   List.iter
@@ -294,7 +312,7 @@ let test_float_binops_tasklet_parity () =
   let sdfg = fbin_sdfg () in
   List.iter
     (fun (a, b) ->
-      let run mode =
+      let run engine =
         let machine = Machine.create () in
         let scalar v =
           let buf =
@@ -308,14 +326,14 @@ let test_float_binops_tasklet_parity () =
           [ ("a", scalar a, [||]); ("b", scalar b, [||]); ("m", scalar 0.0, [||]);
             ("lo", scalar 0.0, [||]); ("hi", scalar 0.0, [||]) ]
         in
-        ignore (Interp.run ~machine ~mode sdfg ~buffers:bufs ~symbols:[] ());
+        ignore (run_engine engine ~machine sdfg ~buffers:bufs ~symbols:[]);
         let out name =
           let _, buf, _ = List.find (fun (n, _, _) -> n = name) bufs in
           Machine.peek buf 0
         in
         ((out "m", out "lo", out "hi"), Machine.metrics machine)
       in
-      let (vt, mt) = run Interp.Tree and (vc, mc) = run Interp.Compiled in
+      let (vt, mt) = run Tree and (vc, mc) = run Bytecode in
       let m1, lo1, hi1 = vt and m2, lo2, hi2 = vc in
       Alcotest.(check bool)
         (Printf.sprintf "tasklet outputs identical for (%g, %g)" a b)
@@ -325,69 +343,93 @@ let test_float_binops_tasklet_parity () =
     fbin_operands
 
 (* ------------------------------------------------------------------ *)
-(* Three-way differential (tree / plan / bytecode): fuzz corpus,
+(* Two-way differential (tree walker vs fast engine): fuzz corpus,
    Polybench subset, and trap-timing shapes *)
 
+(* One run's observable outcome: the result, or the exception's text —
+   paired with the budget spend, which a trap leaves behind as the only
+   counter observable through [Pipelines.run]. *)
 let run_outcome compiled ~entry args (mode : Pipelines.interp_mode) :
-    (Pipelines.run_result, string) result =
-  match Pipelines.run ~interp_mode:mode compiled ~entry args with
-  | r -> Ok r
-  | exception Dcir_sdfg.Interp.Trap m -> Error m
-  | exception Dcir_mlir.Interp.Trap m -> Error m
+    (Pipelines.run_result, string) result * (int * int) =
+  let budget = Dcir_resilience.Budget.create () in
+  let r =
+    match Pipelines.run ~budget ~interp_mode:mode compiled ~entry args with
+    | r -> Ok r
+    | exception e -> Error (Printexc.to_string e)
+  in
+  Dcir_resilience.Budget.(r, (budget.steps, budget.allocs))
 
-let check_plan_differential ~label kind ~src ~entry args =
+let check_differential ~label kind ~src ~entry args =
   let compiled = Pipelines.compile kind ~src ~entry in
-  let rt = run_outcome compiled ~entry args `Tree in
-  let rc = run_outcome compiled ~entry args `Compiled in
-  let rb = run_outcome compiled ~entry args `Bytecode in
-  let agree a b =
-    match (a, b) with
+  let rt, st = run_outcome compiled ~entry args `Tree in
+  let rf, sf = run_outcome compiled ~entry args `Fast in
+  let agree =
+    st = sf
+    &&
+    match (rt, rf) with
     | Ok x, Ok y -> results_identical x y
     | Error x, Error y -> String.equal x y
     | _ -> false
   in
-  if not (agree rt rc) then
+  if not agree then
     Alcotest.failf
-      "%s: compiled plan diverged from tree walker (outputs, trap, or metrics)"
-      label;
-  if not (agree rt rb) then
-    Alcotest.failf
-      "%s: bytecode diverged from tree walker (outputs, trap, or metrics)"
+      "%s: fast engine diverged from the tree walker (outputs, trap, \
+       metrics or budget spend)"
       label
 
-let test_fuzz_plan_differential () =
-  (* Same corpus as the CI fuzz campaign: seed 42, 100 programs. Every
-     case must execute identically — outputs AND machine metrics — under
-     tree walking and compiled plans. The SDFG-native pipeline runs for
-     every case; the opaque-tasklet pipeline (dace) on every tenth. *)
-  let seed = 42 and count = 100 in
-  for i = 0 to count - 1 do
-    let case = Dcir_fuzz.Gen.generate (Dcir_fuzz.Rng.derive seed i) in
-    let args = case.args () in
-    check_plan_differential
-      ~label:(Printf.sprintf "fuzz case %d (seed %d) dcir" i case.seed)
-      Pipelines.Dcir ~src:case.src ~entry:case.entry args;
-    if i mod 10 = 0 then
-      check_plan_differential
-        ~label:(Printf.sprintf "fuzz case %d (seed %d) dace" i case.seed)
-        Pipelines.Dace ~src:case.src ~entry:case.entry args
-  done
+let fuzz_corpus () =
+  (* Same corpus as the CI fuzz campaign: seed 42, 100 programs. *)
+  List.init 100 (fun i ->
+      (i, Dcir_fuzz.Gen.generate (Dcir_fuzz.Rng.derive 42 i)))
 
-let test_polybench_plan_differential () =
+let test_fuzz_differential () =
+  (* Every case must execute identically — outputs AND machine metrics —
+     on the tree walker and the bytecode VM. The SDFG-native pipeline
+     runs for every case; the opaque-tasklet pipeline (dace) on every
+     tenth. *)
+  List.iter
+    (fun (i, (case : Dcir_fuzz.Gen.case)) ->
+      let args = case.args () in
+      check_differential
+        ~label:(Printf.sprintf "fuzz case %d (seed %d) dcir" i case.seed)
+        Pipelines.Dcir ~src:case.src ~entry:case.entry args;
+      if i mod 10 = 0 then
+        check_differential
+          ~label:(Printf.sprintf "fuzz case %d (seed %d) dace" i case.seed)
+          Pipelines.Dace ~src:case.src ~entry:case.entry args)
+    (fuzz_corpus ())
+
+let test_mlir_fuzz_differential () =
+  (* The MLIR side's two engines on the same corpus: the closure-compiled
+     interpreter against the MLIR tree walker, on the mlir pipeline for
+     every case and the gcc pipeline on every tenth. *)
+  List.iter
+    (fun (i, (case : Dcir_fuzz.Gen.case)) ->
+      let args = case.args () in
+      check_differential
+        ~label:(Printf.sprintf "fuzz case %d (seed %d) mlir" i case.seed)
+        Pipelines.Mlir ~src:case.src ~entry:case.entry args;
+      if i mod 10 = 0 then
+        check_differential
+          ~label:(Printf.sprintf "fuzz case %d (seed %d) gcc" i case.seed)
+          Pipelines.Gcc ~src:case.src ~entry:case.entry args)
+    (fuzz_corpus ())
+
+let test_polybench_differential () =
   let open Dcir_workloads in
   List.iter
     (fun (w : Workload.t) ->
       List.iter
         (fun kind ->
-          check_plan_differential
+          check_differential
             ~label:(w.name ^ " " ^ Pipelines.kind_name kind)
             kind ~src:w.src ~entry:w.entry (w.args ()))
         [ Pipelines.Dcir; Pipelines.Dace ])
     [ Polybench.gesummv; Polybench.trisolv; Polybench.jacobi_1d ]
 
-(* Trap-timing parity on the shapes from test_trapsafe.ml: all three
-   tiers must trap at the same point (or not at all) with the same
-   message, and agree bit-for-bit when they finish. *)
+(* Trap-timing parity on the shapes from test_trapsafe.ml: both engines
+   must trap at the same point (or not at all) with the same message and
+   budget spend, and agree bit-for-bit when they finish. *)
 let test_bytecode_trap_timing () =
   let zero_trip =
     {|
@@ -400,7 +442,7 @@ int f(int n, int d) {
   in
   List.iter
     (fun (what, args) ->
-      check_plan_differential
+      check_differential
         ~label:("trap-timing " ^ what)
         Pipelines.Dcir ~src:zero_trip ~entry:"f" args)
     [
@@ -419,12 +461,154 @@ int g(int a, int d) {
   in
   List.iter
     (fun (what, args) ->
-      check_plan_differential
+      check_differential
         ~label:("trap-timing " ^ what)
         Pipelines.Dcir ~src:rem ~entry:"g" args)
     [
       ("rem-zero", [ Pipelines.AInt 7; Pipelines.AInt 0 ]);
       ("rem-ok", [ Pipelines.AInt 7; Pipelines.AInt 3 ]);
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Lowering without a plan probe: malformed states *)
+
+(* A cyclic dataflow graph: two tasklets feeding each other through value
+   edges. Neither engine can order it; the walker raises from its
+   topological sort when it executes the graph. *)
+let add_cycle (g : Sdfg.graph) : unit =
+  let mk name =
+    Sdfg.add_node g
+      (Sdfg.TaskletN
+         (mk_tasklet name [ "_i" ] [ "_o" ] [ ("_o", Texpr.TIn "_i") ]))
+  in
+  let x = mk "x" and y = mk "y" in
+  ignore (Sdfg.add_edge g ~src_conn:"_o" ~dst_conn:"_i" x y);
+  ignore (Sdfg.add_edge g ~src_conn:"_o" ~dst_conn:"_i" y x)
+
+(* [init] -> [work] (three iterations of a += 1, counted by symbol i) ->
+   [bad]. [bad] allocates a heap transient on entry, then holds the cycle
+   — at the top level, or inside a map of [trips] iterations, optionally
+   certified parallel — so the engines must charge the earlier states,
+   the transitions and the allocation before raising. [reach = false]
+   drops the edge into [bad]: a malformed state that never runs must
+   never fail. *)
+let malformed_sdfg ?(par = false) ~(in_map : int option) ~(reach : bool) ()
+    : Sdfg.t =
+  let sdfg = Sdfg.create "malformed" in
+  ignore
+    (Sdfg.add_container sdfg ~transient:false ~dtype:Sdfg.DFloat ~shape:[] "a");
+  let t =
+    Sdfg.add_container sdfg ~alloc_in_loop:true ~dtype:Sdfg.DFloat
+      ~shape:[ Expr.int 64 ] "t"
+  in
+  t.alloc_state <- Some "bad";
+  sdfg.param_order <- [ "a" ];
+  ignore (Sdfg.add_state sdfg "init");
+  let work = Sdfg.add_state sdfg "work" in
+  let g = work.s_graph in
+  let ain = Sdfg.add_node g (Sdfg.Access "a") in
+  let aout = Sdfg.add_node g (Sdfg.Access "a") in
+  let inc =
+    Sdfg.add_node g
+      (Sdfg.TaskletN
+         (mk_tasklet "inc" [ "_a" ] [ "_o" ]
+            [ ("_o", Texpr.TBin (Texpr.BAdd, TIn "_a", TFloat 1.0)) ]))
+  in
+  ignore (Sdfg.add_edge g ~dst_conn:"_a" ~memlet:(memlet "a" []) ain inc);
+  ignore (Sdfg.add_edge g ~src_conn:"_o" ~memlet:(memlet "a" []) inc aout);
+  let bad = Sdfg.add_state sdfg "bad" in
+  (match in_map with
+  | None -> add_cycle bad.s_graph
+  | Some trips ->
+      let body = Sdfg.new_graph () in
+      add_cycle body;
+      ignore
+        (Sdfg.add_node bad.s_graph
+           (Sdfg.MapN
+              {
+                m_params = [ "j" ];
+                m_ranges = [ Range.full (Expr.int trips) ];
+                m_body = body;
+                m_par =
+                  (if par then Some { Sdfg.pc_sym = "j"; pc_classes = [] }
+                   else None);
+              })));
+  Sdfg.add_istate_edge sdfg ~assign:[ ("i", Expr.zero) ] ~src:"init"
+    ~dst:"work" ();
+  Sdfg.add_istate_edge sdfg
+    ~cond:(Bexpr.lt (Expr.sym "i") (Expr.int 2))
+    ~assign:[ ("i", Expr.add (Expr.sym "i") Expr.one) ]
+    ~src:"work" ~dst:"work" ();
+  if reach then
+    Sdfg.add_istate_edge sdfg
+      ~cond:(Bexpr.ge (Expr.sym "i") (Expr.int 2))
+      ~src:"work" ~dst:"bad" ();
+  sdfg.start_state <- "init";
+  sdfg
+
+(* Outcome of one engine: the final value of [a] or the exception's text,
+   plus the machine metrics and budget steps — observable even after a
+   raise, because the caller owns the machine. *)
+let run_malformed (engine : engine) (sdfg : Sdfg.t) :
+    (float, string) result * Metrics.t * int =
+  let machine = Machine.create () in
+  let a =
+    Machine.alloc machine ~storage:Machine.Heap ~elems:1 ~elem_bytes:8
+      ~zero_init:(Value.VFloat 0.0)
+  in
+  let r =
+    match
+      run_engine engine ~machine sdfg ~buffers:[ ("a", a, [||]) ] ~symbols:[]
+    with
+    | _ -> Ok (Value.as_float (Machine.peek a 0))
+    | exception e -> Error (Printexc.to_string e)
+  in
+  ( r,
+    Machine.metrics machine,
+    (Machine.budget machine).Dcir_resilience.Budget.steps )
+
+let test_malformed_state () =
+  List.iter
+    (fun (what, par, in_map, reach, expect_raise) ->
+      let sdfg = malformed_sdfg ~par ~in_map ~reach () in
+      (* Lowering itself must not raise: the failure is deferred to the
+         point where the state runs. *)
+      ignore (Dcir_bytecode.Lower.lower sdfg);
+      let rt, mt, st = run_malformed Tree sdfg in
+      let rb, mb, sb = run_malformed Bytecode sdfg in
+      (match (rt, rb) with
+      | Error x, Error y ->
+          Alcotest.(check bool) (what ^ ": raises") true expect_raise;
+          Alcotest.(check string) (what ^ ": same exception") x y;
+          Alcotest.(check bool)
+            (what ^ ": raised on the cycle")
+            true
+            (Tutil.contains x "cycle")
+      | Ok x, Ok y ->
+          Alcotest.(check bool) (what ^ ": completes") false expect_raise;
+          Alcotest.(check (float 0.0)) (what ^ ": same output") x y;
+          Alcotest.(check (float 0.0)) (what ^ ": work ran") 3.0 x
+      | _ -> Alcotest.failf "%s: one engine raised, the other did not" what);
+      check_metrics_equal what mt mb;
+      Alcotest.(check int) (what ^ ": same budget steps") st sb;
+      (* The earlier states ran (three loads of a) and, when [bad] was
+         entered, its allocation was charged before the raise (on top of
+         the argument buffer's). *)
+      Alcotest.(check bool) (what ^ ": earlier states charged") true
+        (mt.loads >= 3);
+      Alcotest.(check int)
+        (what ^ ": allocation charged on entry")
+        (if reach then 2 else 1)
+        mt.heap_allocs)
+    [
+      ("top-level cycle", false, None, true, true);
+      ("cycle in a 3-trip map", false, Some 3, true, true);
+      ("cycle in a zero-trip map", false, Some 0, true, false);
+      (* A certified map sorts its body before forking, whatever the trip
+         count. *)
+      ("cycle in a certified map", true, Some 3, true, true);
+      ("cycle in a zero-trip certified map", true, Some 0, true, true);
+      ("unreachable cyclic state", false, None, false, false);
     ]
 
 let suite =
@@ -441,12 +625,16 @@ let suite =
       Alcotest.test_case "min/max float cross-interpreter parity" `Quick
         test_float_minmax_cross_interp;
       Alcotest.test_case "fmod float semantics" `Quick test_float_mod_semantics;
-      Alcotest.test_case "BMod/BMin/BMax tasklet tree-vs-plan parity" `Quick
+      Alcotest.test_case "BMod/BMin/BMax bytecode parity" `Quick
         test_float_binops_tasklet_parity;
       Alcotest.test_case "bytecode trap-timing parity" `Quick
         test_bytecode_trap_timing;
-      Alcotest.test_case "fuzz corpus plan-vs-tree differential" `Slow
-        test_fuzz_plan_differential;
-      Alcotest.test_case "polybench plan-vs-tree metric equality" `Slow
-        test_polybench_plan_differential;
+      Alcotest.test_case "malformed state: same raise point" `Quick
+        test_malformed_state;
+      Alcotest.test_case "fuzz corpus bytecode-vs-tree diff" `Slow
+        test_fuzz_differential;
+      Alcotest.test_case "fuzz corpus mlir closure-vs-tree" `Slow
+        test_mlir_fuzz_differential;
+      Alcotest.test_case "polybench bytecode-vs-tree metrics" `Slow
+        test_polybench_differential;
     ] )

@@ -137,7 +137,7 @@ let test_tree_compiled_step_parity () =
          (w.Workload.args ()));
     b.Budget.steps
   in
-  let tree = steps `Tree and comp = steps `Compiled in
+  let tree = steps `Tree and comp = steps `Fast in
   Alcotest.(check bool) "executed at all" true (tree > 0);
   Alcotest.(check int) "tree and compiled step counts agree" tree comp
 
