@@ -28,10 +28,15 @@ type kctrl =
   | KReturn of Value.t list  (** [func.return] reached *)
   | KYield of rtval list  (** [scf.yield] reached *)
 
+(** One activation of a compiled function: its SSA values, indexed by the
+    slots {!get_cfunc} assigns. *)
+type frame = rtval array
+
 type cfunc = {
   cf_func : Ir.func;
-  cf_body : (unit -> kctrl) array;
-  cf_rargs : Ir.value list;
+  cf_body : (frame -> kctrl) array;
+  cf_args : int list;  (** slots of the entry-block arguments *)
+  cf_nslots : int;  (** frame size: every SSA value the body names *)
 }
 
 type env = {
@@ -40,7 +45,8 @@ type env = {
       (** the machine's budget, cached; charged one step per executed op
           in both tree and compiled modes so the two trap identically *)
   modul : Ir.modul;
-  bindings : (int, rtval) Hashtbl.t;  (** vid -> runtime value *)
+  mutable bindings : (int, rtval) Hashtbl.t;
+      (** tree walker only: vid -> runtime value of the current call *)
   mutable call_depth : int;
   profile : Dcir_obs.Obs.Profile.t option;
       (** when set, per-function inclusive cycles/loads/stores *)
@@ -365,6 +371,10 @@ and call_func (env : env) (f : Ir.func) (args : rtval list) : Value.t list =
       if List.length r.rargs <> List.length args then
         trap "@%s: argument count mismatch" f.fname;
       env.call_depth <- env.call_depth + 1;
+      (* Each activation binds into its own scope, so a recursive call
+         cannot overwrite the caller's values that are live across it. *)
+      let caller = env.bindings in
+      env.bindings <- Hashtbl.create 256;
       List.iter2 (fun p a -> bind env p a) r.rargs args;
       let snap =
         match env.profile with
@@ -381,35 +391,118 @@ and call_func (env : env) (f : Ir.func) (args : rtval list) : Value.t list =
             ~cycles:(mt.cycles -. c0) ~loads:(mt.loads - l0)
             ~stores:(mt.stores - s0)
       | _ -> ());
+      env.bindings <- caller;
       env.call_depth <- env.call_depth - 1;
       (match result with Some vals -> vals | None -> [])
 
 (* ------------------------------------------------------------------ *)
 (* Compiled execution: each function body is translated once per [env]
-   into an array of OCaml closures (operands, attributes, cost classes and
-   nested regions all pre-resolved), then replayed. The charge/memory
-   sequence is kept exactly identical to the tree-walking [exec_op] above,
-   so machine metrics are bit-for-bit the same in both modes. *)
+   into an array of OCaml closures, then replayed. Compilation gives
+   every SSA value the body names — entry-block arguments, op results,
+   [scf.for]/[scf.if] region arguments and results — a slot in the
+   function's frame, so closures capture plain slot indices alongside
+   the pre-resolved attributes, cost classes and nested regions. Each
+   call runs in its own frame with every slot unbound, so a recursive
+   activation cannot clobber its caller's live values. The charge,
+   budget-step and trap sequence is kept exactly identical to the
+   tree-walking [exec_op] above, so outputs and machine metrics are
+   bit-for-bit the same in both modes. *)
 
 type mode = Tree | Compiled
+
+(* The content of every slot not yet written in this activation: a block
+   of its own, compared physically, so no runtime value can be taken for
+   it. *)
+let unbound : rtval = Scalar (VInt (Sys.opaque_identity 0))
+
+(* Frame readers. Their traps are the tree walker's, in its order: an
+   unbound value first, then the scalar/memref check. *)
+let unbound_trap (v : Ir.value) =
+  trap "unbound SSA value %s" (Printer.value_name v)
+
+let get (fr : frame) (s : int) (v : Ir.value) : rtval =
+  let rv = fr.(s) in
+  if rv == unbound then unbound_trap v else rv
+
+let fscalar (fr : frame) (s : int) (v : Ir.value) : Value.t =
+  match fr.(s) with
+  | Scalar x as rv -> if rv == unbound then unbound_trap v else x
+  | Buf _ -> trap "expected scalar, got memref (%s)" (Printer.value_name v)
+
+let fint (fr : frame) (s : int) (v : Ir.value) : int =
+  match fr.(s) with
+  | Scalar (VInt n) as rv when rv != unbound -> n
+  | _ -> Value.as_int (fscalar fr s v)
+
+let ffloat (fr : frame) (s : int) (v : Ir.value) : float =
+  match fr.(s) with
+  | Scalar (VFloat f) -> f
+  | _ -> Value.as_float (fscalar fr s v)
+
+let fbuffer (fr : frame) (s : int) (v : Ir.value) : bufinfo =
+  match fr.(s) with
+  | Buf b -> b
+  | rv ->
+      if rv == unbound then unbound_trap v
+      else trap "expected memref, got scalar (%s)" (Printer.value_name v)
+
+(* [linearize] without the index list for rank-1 and rank-2 accesses, in
+   its exact order: indices read left to right, then the rank check, then
+   one [Int_alu] per extra dimension. *)
+let compile_index (env : env) (idxs : (int * Ir.value) list) :
+    frame -> bufinfo -> int =
+  let rank_trap n b =
+    trap "index count %d does not match rank %d" n (Array.length b.dims)
+  in
+  match idxs with
+  | [ (s0, v0) ] ->
+      fun fr b ->
+        let i0 = fint fr s0 v0 in
+        if Array.length b.dims <> 1 then rank_trap 1 b;
+        i0
+  | [ (s0, v0); (s1, v1) ] ->
+      let m = env.machine in
+      fun fr b ->
+        let i0 = fint fr s0 v0 in
+        let i1 = fint fr s1 v1 in
+        if Array.length b.dims <> 2 then rank_trap 2 b;
+        Machine.charge_op m Int_alu;
+        (i0 * b.dims.(1)) + i1
+  | _ ->
+      fun fr b -> linearize env b (List.map (fun (s, v) -> fint fr s v) idxs)
 
 (* Run a compiled op sequence until a terminator produces control.
    Charges one budget step per executed closure — the compiled-mode twin
    of the per-op charge in [exec_ops]/[exec_region_with_yield]. *)
-let run_seq (env : env) (ops : (unit -> kctrl) array) : kctrl =
+let run_seq (budget : Dcir_resilience.Budget.t) (fr : frame)
+    (ops : (frame -> kctrl) array) : kctrl =
   let n = Array.length ops in
-  let budget = env.budget in
   let rec go i =
     if i = n then KContinue
     else begin
       Dcir_resilience.Budget.step budget;
-      match ops.(i) () with KContinue -> go (i + 1) | c -> c
+      match ops.(i) fr with KContinue -> go (i + 1) | c -> c
     end
   in
   go 0
 
-let rec compile_op (env : env) ~(structured : bool) (o : Ir.op) :
-    unit -> kctrl =
+(* Per-function compilation state: the slot of each SSA value, by vid. *)
+type cctx = { env : env; slots : (int, int) Hashtbl.t }
+
+let slot (cx : cctx) (v : Ir.value) : int =
+  match Hashtbl.find_opt cx.slots v.vid with
+  | Some s -> s
+  | None ->
+      let s = Hashtbl.length cx.slots in
+      Hashtbl.add cx.slots v.vid s;
+      s
+
+let uses (cx : cctx) (vs : Ir.value list) : (int * Ir.value) list =
+  List.map (fun v -> (slot cx v, v)) vs
+
+let rec compile_op (cx : cctx) ~(structured : bool) (o : Ir.op) :
+    frame -> kctrl =
+  let env = cx.env in
   let m = env.machine in
   let charge_class =
     match Arith.cost_class o.name with
@@ -419,37 +512,47 @@ let rec compile_op (env : env) ~(structured : bool) (o : Ir.op) :
         | Some c -> fun () -> Machine.charge_op m c
         | None -> fun () -> ())
   in
+  let use1 v = (slot cx v, v) in
   match o.name with
   | "func.return" ->
-      if structured then fun () ->
+      if structured then fun _ ->
         trap "func.return inside structured control flow"
       else
-        let operands = o.operands in
-        fun () -> KReturn (List.map (scalar_or_unit env) operands)
+        let operands = uses cx o.operands in
+        fun fr ->
+          KReturn
+            (List.map
+               (fun (s, v) ->
+                 match get fr s v with
+                 | Scalar x -> x
+                 | Buf _ ->
+                     trap "returning a memref from a function is not supported")
+               operands)
   | "scf.yield" ->
       if structured then
-        let operands = o.operands in
-        fun () -> KYield (List.map (lookup env) operands)
-      else fun () -> trap "scf.yield outside structured execution"
+        let operands = uses cx o.operands in
+        fun fr -> KYield (List.map (fun (s, v) -> get fr s v) operands)
+      else fun _ -> trap "scf.yield outside structured execution"
   | "arith.constant" -> (
-      let res = Ir.result o in
+      let r = slot cx (Ir.result o) in
       match Ir.attr o "value" with
       | Some (Attr.AInt n) ->
           let v = Scalar (VInt n) in
-          fun () ->
-            bind env res v;
+          fun fr ->
+            fr.(r) <- v;
             KContinue
       | Some (Attr.AFloat f) ->
           let v = Scalar (VFloat f) in
-          fun () ->
-            bind env res v;
+          fun fr ->
+            fr.(r) <- v;
             KContinue
-      | _ -> fun () -> trap "arith.constant without value attr")
+      | _ -> fun _ -> trap "arith.constant without value attr")
   | "arith.addi" | "arith.subi" | "arith.muli" | "arith.divsi" | "arith.remsi"
   | "arith.andi" | "arith.ori" | "arith.xori" | "arith.maxsi" | "arith.minsi"
     ->
-      let x_v = List.nth o.operands 0 and y_v = List.nth o.operands 1 in
-      let res = Ir.result o in
+      let xs, x_v = use1 (List.nth o.operands 0) in
+      let ys, y_v = use1 (List.nth o.operands 1) in
+      let r = slot cx (Ir.result o) in
       let f : int -> int -> int =
         match o.name with
         | "arith.addi" -> ( + )
@@ -467,16 +570,17 @@ let rec compile_op (env : env) ~(structured : bool) (o : Ir.op) :
         | "arith.maxsi" -> max
         | _ -> min
       in
-      fun () ->
+      fun fr ->
         charge_class ();
-        let x = int_of env x_v in
-        let y = int_of env y_v in
-        bind env res (Scalar (VInt (f x y)));
+        let x = fint fr xs x_v in
+        let y = fint fr ys y_v in
+        fr.(r) <- Scalar (VInt (f x y));
         KContinue
   | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" | "arith.maxf"
   | "arith.minf" ->
-      let x_v = List.nth o.operands 0 and y_v = List.nth o.operands 1 in
-      let res = Ir.result o in
+      let xs, x_v = use1 (List.nth o.operands 0) in
+      let ys, y_v = use1 (List.nth o.operands 1) in
+      let r = slot cx (Ir.result o) in
       let f : float -> float -> float =
         match o.name with
         | "arith.addf" -> ( +. )
@@ -486,96 +590,99 @@ let rec compile_op (env : env) ~(structured : bool) (o : Ir.op) :
         | "arith.maxf" -> Float.max
         | _ -> Float.min
       in
-      fun () ->
+      fun fr ->
         charge_class ();
-        let x = float_of env x_v in
-        let y = float_of env y_v in
-        bind env res (Scalar (VFloat (f x y)));
+        let x = ffloat fr xs x_v in
+        let y = ffloat fr ys y_v in
+        fr.(r) <- Scalar (VFloat (f x y));
         KContinue
   | "arith.negf" ->
-      let x_v = List.hd o.operands in
-      let res = Ir.result o in
-      fun () ->
+      let xs, x_v = use1 (List.hd o.operands) in
+      let r = slot cx (Ir.result o) in
+      fun fr ->
         charge_class ();
-        bind env res (Scalar (VFloat (-.float_of env x_v)));
+        fr.(r) <- Scalar (VFloat (-.ffloat fr xs x_v));
         KContinue
   | "arith.cmpi" ->
       let pred = Option.value ~default:"eq" (Ir.str_attr o "predicate") in
-      let x_v = List.nth o.operands 0 and y_v = List.nth o.operands 1 in
-      let res = Ir.result o in
-      fun () ->
+      let xs, x_v = use1 (List.nth o.operands 0) in
+      let ys, y_v = use1 (List.nth o.operands 1) in
+      let r = slot cx (Ir.result o) in
+      fun fr ->
         charge_class ();
-        let x = int_of env x_v in
-        let y = int_of env y_v in
-        bind env res (Scalar (Value.of_bool (eval_cmpi pred x y)));
+        let x = fint fr xs x_v in
+        let y = fint fr ys y_v in
+        fr.(r) <- Scalar (Value.of_bool (eval_cmpi pred x y));
         KContinue
   | "arith.cmpf" ->
       let pred = Option.value ~default:"oeq" (Ir.str_attr o "predicate") in
-      let x_v = List.nth o.operands 0 and y_v = List.nth o.operands 1 in
-      let res = Ir.result o in
-      fun () ->
+      let xs, x_v = use1 (List.nth o.operands 0) in
+      let ys, y_v = use1 (List.nth o.operands 1) in
+      let r = slot cx (Ir.result o) in
+      fun fr ->
         charge_class ();
-        let x = float_of env x_v in
-        let y = float_of env y_v in
-        bind env res (Scalar (Value.of_bool (eval_cmpf pred x y)));
+        let x = ffloat fr xs x_v in
+        let y = ffloat fr ys y_v in
+        fr.(r) <- Scalar (Value.of_bool (eval_cmpf pred x y));
         KContinue
   | "arith.select" ->
-      let c_v = List.nth o.operands 0 in
-      let t_v = List.nth o.operands 1 in
-      let f_v = List.nth o.operands 2 in
-      let res = Ir.result o in
-      fun () ->
+      let cs, c_v = use1 (List.nth o.operands 0) in
+      let ts, t_v = use1 (List.nth o.operands 1) in
+      let fs, f_v = use1 (List.nth o.operands 2) in
+      let r = slot cx (Ir.result o) in
+      fun fr ->
         charge_class ();
-        let c = int_of env c_v in
-        bind env res (lookup env (if c <> 0 then t_v else f_v));
+        let c = fint fr cs c_v in
+        fr.(r) <- (if c <> 0 then get fr ts t_v else get fr fs f_v);
         KContinue
   | "arith.index_cast" | "arith.extf" | "arith.truncf" ->
-      let x_v = List.hd o.operands in
-      let res = Ir.result o in
-      fun () ->
+      let xs, x_v = use1 (List.hd o.operands) in
+      let r = slot cx (Ir.result o) in
+      fun fr ->
         charge_class ();
-        bind env res (lookup env x_v);
+        fr.(r) <- get fr xs x_v;
         KContinue
   | "arith.sitofp" ->
-      let x_v = List.hd o.operands in
-      let res = Ir.result o in
-      fun () ->
+      let xs, x_v = use1 (List.hd o.operands) in
+      let r = slot cx (Ir.result o) in
+      fun fr ->
         charge_class ();
-        bind env res (Scalar (VFloat (float_of_int (int_of env x_v))));
+        fr.(r) <- Scalar (VFloat (float_of_int (fint fr xs x_v)));
         KContinue
   | "arith.fptosi" ->
-      let x_v = List.hd o.operands in
-      let res = Ir.result o in
-      fun () ->
+      let xs, x_v = use1 (List.hd o.operands) in
+      let r = slot cx (Ir.result o) in
+      fun fr ->
         charge_class ();
-        let f = float_of env x_v in
+        let f = ffloat fr xs x_v in
         let n =
           try Value.int_of_float_trunc f
           with Invalid_argument msg -> trap "%s" msg
         in
-        bind env res (Scalar (VInt n));
+        fr.(r) <- Scalar (VInt n);
         KContinue
   | name when Math_d.is_math_op name ->
-      let operands = o.operands in
-      let res = Ir.result o in
-      fun () ->
+      let operands = uses cx o.operands in
+      let r = slot cx (Ir.result o) in
+      fun fr ->
         charge_class ();
-        let args = List.map (float_of env) operands in
-        bind env res (Scalar (VFloat (Math_d.eval name args)));
+        let args = List.map (fun (s, v) -> ffloat fr s v) operands in
+        fr.(r) <- Scalar (VFloat (Math_d.eval name args));
         KContinue
   | "memref.alloc" | "memref.alloca" ->
       let res = Ir.result o in
+      let r = slot cx res in
       let elem = Types.elem_type res.vty in
       let dim_tmpl = Types.dims res.vty in
-      let operands = o.operands in
+      let operands = uses cx o.operands in
       let storage =
         if String.equal o.name "memref.alloc" then Machine.Heap
         else Machine.Stack
       in
       let elem_bytes = Types.byte_width elem in
       let zero = zero_of elem in
-      fun () ->
-        let dyn = ref (List.map (int_of env) operands) in
+      fun fr ->
+        let dyn = ref (List.map (fun (s, v) -> fint fr s v) operands) in
         let dims =
           List.map
             (function
@@ -593,92 +700,98 @@ let rec compile_op (env : env) ~(structured : bool) (o : Ir.op) :
         let buf =
           Machine.alloc m ~storage ~elems ~elem_bytes ~zero_init:zero
         in
-        bind env res (Buf { buf; dims = Array.of_list dims });
+        fr.(r) <- Buf { buf; dims = Array.of_list dims };
         KContinue
   | "memref.dealloc" ->
-      let x_v = List.hd o.operands in
-      fun () ->
-        let b = buffer env x_v in
-        Machine.free m b.buf;
+      let xs, x_v = use1 (List.hd o.operands) in
+      fun fr ->
+        Machine.free m (fbuffer fr xs x_v).buf;
         KContinue
   | "memref.load" ->
       let mr, idxs = Memref_d.load_parts o in
-      let res = Ir.result o in
-      fun () ->
-        let b = buffer env mr in
-        let lin = linearize env b (List.map (int_of env) idxs) in
-        bind env res (Scalar (Machine.load m b.buf lin));
+      let ms = slot cx mr in
+      let index = compile_index env (uses cx idxs) in
+      let r = slot cx (Ir.result o) in
+      fun fr ->
+        let b = fbuffer fr ms mr in
+        let lin = index fr b in
+        fr.(r) <- Scalar (Machine.load m b.buf lin);
         KContinue
   | "memref.store" ->
       let v, mr, idxs = Memref_d.store_parts o in
-      fun () ->
-        let b = buffer env mr in
-        let lin = linearize env b (List.map (int_of env) idxs) in
-        Machine.store m b.buf lin (scalar env v);
+      let vs = slot cx v and ms = slot cx mr in
+      let index = compile_index env (uses cx idxs) in
+      fun fr ->
+        let b = fbuffer fr ms mr in
+        let lin = index fr b in
+        Machine.store m b.buf lin (fscalar fr vs v);
         KContinue
   | "memref.dim" ->
-      let x_v = List.hd o.operands in
+      let xs, x_v = use1 (List.hd o.operands) in
       let k = Option.value ~default:0 (Ir.int_attr o "index") in
-      let res = Ir.result o in
-      fun () ->
-        let b = buffer env x_v in
+      let r = slot cx (Ir.result o) in
+      fun fr ->
+        let b = fbuffer fr xs x_v in
         if k < 0 || k >= Array.length b.dims then
           trap "memref.dim out of range";
-        bind env res (Scalar (VInt b.dims.(k)));
+        fr.(r) <- Scalar (VInt b.dims.(k));
         KContinue
   | "scf.for" ->
       let lb, ub, step = Scf_d.loop_bounds o in
+      let lbs = slot cx lb and ubs = slot cx ub and steps = slot cx step in
       let body = Scf_d.loop_body o in
       let iv, carried_args =
         match body.rargs with
-        | iv :: rest -> (iv, rest)
+        | iv :: rest -> (slot cx iv, List.map (slot cx) rest)
         | [] -> trap "scf.for: missing induction variable"
       in
-      let inits = Scf_d.loop_iter_inits o in
-      let results = o.results in
-      let cbody = compile_ops env ~structured:true body.rops in
-      fun () ->
-        let lbv = int_of env lb in
-        let ubv = int_of env ub in
-        let stepv = int_of env step in
+      let inits = uses cx (Scf_d.loop_iter_inits o) in
+      let results = List.map (slot cx) o.results in
+      let cbody = compile_ops cx ~structured:true body.rops in
+      let budget = env.budget in
+      fun fr ->
+        let lbv = fint fr lbs lb in
+        let ubv = fint fr ubs ub in
+        let stepv = fint fr steps step in
         if stepv <= 0 then trap "scf.for: non-positive step %d" stepv;
-        let carried = ref (List.map (lookup env) inits) in
+        let carried = ref (List.map (fun (s, v) -> get fr s v) inits) in
         let i = ref lbv in
         while !i < ubv do
           Machine.charge_op m Int_alu;
           Machine.charge_op m Branch;
-          bind env iv (Scalar (VInt !i));
-          List.iter2 (fun arg v -> bind env arg v) carried_args !carried;
-          (match run_seq env cbody with
+          fr.(iv) <- Scalar (VInt !i);
+          List.iter2 (fun s v -> fr.(s) <- v) carried_args !carried;
+          (match run_seq budget fr cbody with
           | KYield vals -> carried := vals
           | KContinue ->
               if carried_args <> [] then trap "scf.for: missing yield"
           | KReturn _ -> assert false (* func.return compiles to a trap *));
           i := !i + stepv
         done;
-        List.iter2 (fun res v -> bind env res v) results !carried;
+        List.iter2 (fun s v -> fr.(s) <- v) results !carried;
         KContinue
   | "scf.if" ->
-      let c_v = List.hd o.operands in
+      let cs, c_v = use1 (List.hd o.operands) in
       let then_r, else_r = Scf_d.if_regions o in
-      let cthen = compile_ops env ~structured:true then_r.rops in
-      let celse = compile_ops env ~structured:true else_r.rops in
-      let results = o.results in
-      fun () ->
+      let cthen = compile_ops cx ~structured:true then_r.rops in
+      let celse = compile_ops cx ~structured:true else_r.rops in
+      let results = List.map (slot cx) o.results in
+      let budget = env.budget in
+      fun fr ->
         Machine.charge_op m Branch;
-        let c = int_of env c_v in
+        let c = fint fr cs c_v in
         let chosen = if c <> 0 then cthen else celse in
-        (match run_seq env chosen with
-        | KYield vals -> List.iter2 (fun res v -> bind env res v) results vals
+        (match run_seq budget fr chosen with
+        | KYield vals -> List.iter2 (fun s v -> fr.(s) <- v) results vals
         | KContinue ->
             if results <> [] then trap "scf.if: branch yielded no values"
         | KReturn _ -> assert false);
         KContinue
   | "func.call" ->
       let callee = Option.value ~default:"" (Func_d.callee o) in
-      let operands = o.operands in
-      let results = o.results in
-      fun () -> (
+      let operands = uses cx o.operands in
+      let results = List.map (slot cx) o.results in
+      fun fr -> (
         (* Resolved per call, like the tree walker; the compiled body is
            memoized in [env.cfuncs] (lazily, so recursion terminates). *)
         match Ir.find_func env.modul callee with
@@ -686,15 +799,15 @@ let rec compile_op (env : env) ~(structured : bool) (o : Ir.op) :
         | Some f ->
             Machine.charge m 20.0;
             List.iter (fun _ -> Machine.charge_op m Move) operands;
-            let args = List.map (lookup env) operands in
+            let args = List.map (fun (s, v) -> get fr s v) operands in
             let rets = call_cfunc env (get_cfunc env f) args in
-            List.iter2 (fun res v -> bind env res (Scalar v)) results rets;
+            List.iter2 (fun s v -> fr.(s) <- Scalar v) results rets;
             KContinue)
-  | name -> fun () -> trap "interpreter: unsupported operation %s" name
+  | name -> fun _ -> trap "interpreter: unsupported operation %s" name
 
-and compile_ops (env : env) ~(structured : bool) (ops : Ir.op list) :
-    (unit -> kctrl) array =
-  Array.of_list (List.map (compile_op env ~structured) ops)
+and compile_ops (cx : cctx) ~(structured : bool) (ops : Ir.op list) :
+    (frame -> kctrl) array =
+  Array.of_list (List.map (compile_op cx ~structured) ops)
 
 and get_cfunc (env : env) (f : Ir.func) : cfunc =
   match Hashtbl.find_opt env.cfuncs f.fname with
@@ -703,29 +816,30 @@ and get_cfunc (env : env) (f : Ir.func) : cfunc =
       let cf =
         match f.fbody with
         | None ->
-            { cf_func = f; cf_body = [||]; cf_rargs = [] }
+            { cf_func = f; cf_body = [||]; cf_args = []; cf_nslots = 0 }
             (* external: trapped at call time, like the tree walker *)
         | Some r ->
-            {
-              cf_func = f;
-              cf_body = compile_ops env ~structured:false r.rops;
-              cf_rargs = r.rargs;
-            }
+            let cx = { env; slots = Hashtbl.create 64 } in
+            let cf_args = List.map (slot cx) r.rargs in
+            let cf_body = compile_ops cx ~structured:false r.rops in
+            let cf_nslots = Hashtbl.length cx.slots in
+            { cf_func = f; cf_body; cf_args; cf_nslots }
       in
       Hashtbl.replace env.cfuncs f.fname cf;
       cf
 
-(* Mirrors [call_func] exactly: depth check, argument binding, profile
-   snapshot/record. *)
+(* Mirrors [call_func] exactly: depth check, argument binding into the
+   activation's fresh frame, profile snapshot/record. *)
 and call_cfunc (env : env) (cf : cfunc) (args : rtval list) : Value.t list =
   if env.call_depth > 256 then trap "call depth exceeded";
   match cf.cf_func.fbody with
   | None -> trap "call to external function @%s" cf.cf_func.fname
   | Some _ ->
-      if List.length cf.cf_rargs <> List.length args then
+      if List.length cf.cf_args <> List.length args then
         trap "@%s: argument count mismatch" cf.cf_func.fname;
       env.call_depth <- env.call_depth + 1;
-      List.iter2 (fun p a -> bind env p a) cf.cf_rargs args;
+      let fr = Array.make cf.cf_nslots unbound in
+      List.iter2 (fun s a -> fr.(s) <- a) cf.cf_args args;
       let snap =
         match env.profile with
         | None -> None
@@ -734,7 +848,7 @@ and call_cfunc (env : env) (cf : cfunc) (args : rtval list) : Value.t list =
             Some (mt.cycles, mt.loads, mt.stores)
       in
       let result =
-        match run_seq env cf.cf_body with
+        match run_seq env.budget fr cf.cf_body with
         | KReturn vals -> Some vals
         | KContinue -> None
         | KYield _ -> assert false (* scf.yield compiles to a trap here *)
@@ -751,31 +865,29 @@ and call_cfunc (env : env) (cf : cfunc) (args : rtval list) : Value.t list =
 
 (* ------------------------------------------------------------------ *)
 
+let make_env ?(profile : Dcir_obs.Obs.Profile.t option) (machine : Machine.t)
+    (m : Ir.modul) : env =
+  {
+    machine;
+    budget = Machine.budget machine;
+    modul = m;
+    bindings = Hashtbl.create 1;
+    call_depth = 0;
+    profile;
+    cfuncs = Hashtbl.create 8;
+  }
+
 (** A persistent execution context for repeated invocations of one entry
-    function — used by the SDFG bytecode VM so opaque
-    tasklets compile their MLIR body once per run instead of once per
-    invocation. Bindings are reused across invocations; this is safe
-    because SSA dominance guarantees every value read is rebound first. *)
+    function — used by the SDFG engines' opaque tasklets so their MLIR
+    body is compiled once per run instead of once per invocation. Each
+    invocation runs in a fresh frame, like any call. *)
 type prepared = { p_env : env; p_entry : Ir.func }
 
 let prepare ?(profile : Dcir_obs.Obs.Profile.t option)
     ~(machine : Machine.t) (m : Ir.modul) ~(entry : string) : prepared =
   match Ir.find_func m entry with
   | None -> trap "entry function @%s not found" entry
-  | Some f ->
-      {
-        p_env =
-          {
-            machine;
-            budget = Machine.budget machine;
-            modul = m;
-            bindings = Hashtbl.create 256;
-            call_depth = 0;
-            profile;
-            cfuncs = Hashtbl.create 8;
-          };
-        p_entry = f;
-      }
+  | Some f -> { p_env = make_env ?profile machine m; p_entry = f }
 
 let run_prepared (p : prepared) (args : rtval list) : Value.t list =
   call_cfunc p.p_env (get_cfunc p.p_env p.p_entry) args
@@ -785,7 +897,8 @@ let run_prepared (p : prepared) (args : rtval list) : Value.t list =
     [profile] accumulates per-function inclusive cycles/loads/stores
     attribution (a callee's work is also counted in its callers).
     [mode] selects tree-walking or compiled execution (the default); both
-    charge the machine identically. *)
+    charge the machine identically. Every call, recursive ones included,
+    binds its values in a scope of its own. *)
 let run ?(machine : Machine.t option)
     ?(profile : Dcir_obs.Obs.Profile.t option) ?(mode : mode = Compiled)
     (m : Ir.modul) ~(entry : string) (args : rtval list) :
@@ -794,17 +907,7 @@ let run ?(machine : Machine.t option)
   match Ir.find_func m entry with
   | None -> trap "entry function @%s not found" entry
   | Some f ->
-      let env =
-        {
-          machine;
-          budget = Machine.budget machine;
-          modul = m;
-          bindings = Hashtbl.create 256;
-          call_depth = 0;
-          profile;
-          cfuncs = Hashtbl.create 8;
-        }
-      in
+      let env = make_env ?profile machine m in
       let results =
         match mode with
         | Tree -> call_func env f args

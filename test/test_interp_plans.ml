@@ -9,8 +9,9 @@
     metrics — the cost model is the paper's measurement apparatus, so an
     engine that changes cycle counts silently corrupts every figure.
     These tests pin that contract on hand-built SDFGs (malformed ones
-    included), on the full fixed-seed fuzz corpus, and on a Polybench
-    subset, alongside the hot-path bug sweep: symbol reads of scalar
+    included), on the full fixed-seed fuzz corpus, on a Polybench subset,
+    and on multi-function MLIR programs (calls, recursion, hand-built
+    trapping modules), alongside the hot-path bug sweep: symbol reads of scalar
     containers must charge a load, float->int casts truncate toward zero
     and trap on NaN/inf in both interpreters, and SDFG construction must
     stay linear. *)
@@ -359,8 +360,7 @@ let run_outcome compiled ~entry args (mode : Pipelines.interp_mode) :
   in
   Dcir_resilience.Budget.(r, (budget.steps, budget.allocs))
 
-let check_differential ~label kind ~src ~entry args =
-  let compiled = Pipelines.compile kind ~src ~entry in
+let check_compiled_differential ~label compiled ~entry args =
   let rt, st = run_outcome compiled ~entry args `Tree in
   let rf, sf = run_outcome compiled ~entry args `Fast in
   let agree =
@@ -376,6 +376,11 @@ let check_differential ~label kind ~src ~entry args =
       "%s: fast engine diverged from the tree walker (outputs, trap, \
        metrics or budget spend)"
       label
+
+let check_differential ~label kind ~src ~entry args =
+  check_compiled_differential ~label
+    (Pipelines.compile kind ~src ~entry)
+    ~entry args
 
 let fuzz_corpus () =
   (* Same corpus as the CI fuzz campaign: seed 42, 100 programs. *)
@@ -468,6 +473,222 @@ int g(int a, int d) {
       ("rem-zero", [ Pipelines.AInt 7; Pipelines.AInt 0 ]);
       ("rem-ok", [ Pipelines.AInt 7; Pipelines.AInt 3 ]);
     ]
+
+(* ------------------------------------------------------------------ *)
+(* MLIR engines on multi-function programs: calls, live values across
+   calls, recursion, and calls inside loops with carried values *)
+
+(* The fuzz corpus is single-function, so calls are covered here. The
+   helpers are recursive because the optimizing pipelines inline every
+   other call. *)
+let call_corpus : (string * string * string * Pipelines.arg list) list =
+  let arr n f = Pipelines.AFloatArr (Array.init n f, [| n |]) in
+  let pw =
+    {|
+double pw(double x, int k) {
+  double r = 1.0;
+  if (k > 0) { r = x * pw(x, k - 1); }
+  return r;
+}
+|}
+  in
+  [
+    ( "helper called twice",
+      pw
+      ^ {|
+double twice(double a[8], int n) {
+  double s = 0.0;
+  for (int i = 0; i < n; i++) { s = s + a[i]; }
+  return pw(s, 3) + pw(a[0], 2);
+}
+|},
+      "twice",
+      [ arr 8 (fun i -> float_of_int i +. 0.25); Pipelines.AInt 8 ] );
+    ( "value live across a call",
+      {|
+int tri(int n) {
+  int r = 0;
+  if (n > 0) { r = tri(n - 1) + n; }
+  return r;
+}
+int live(int n) {
+  int a = n * 7;
+  int b = tri(n);
+  int c = a - b;
+  return a * b + c;
+}
+|},
+      "live",
+      [ Pipelines.AInt 11 ] );
+    ( "self-recursion",
+      {|
+int fact(int n) {
+  int a = n * 2;
+  int r = 1;
+  if (n > 1) { r = fact(n - 1); }
+  return r * a;
+}
+|},
+      "fact",
+      [ Pipelines.AInt 16 ] );
+    ( "calls inside a loop with a carried value",
+      pw
+      ^ {|
+double loopcall(double a[16], int n) {
+  double s = 0.0;
+  for (int i = 0; i < n; i++) {
+    s = s + pw(a[i], 2);
+    a[i] = pw(s, 1);
+  }
+  return s;
+}
+|},
+      "loopcall",
+      [ arr 16 (fun i -> float_of_int (i * i) /. 64.0); Pipelines.AInt 16 ] );
+  ]
+
+(* 2^16 * 16!: [fact] doubles its argument into a value live across the
+   recursive call. *)
+let fact16 = 65536 * 20922789888000
+
+let test_mlir_calls_differential () =
+  List.iter
+    (fun (what, src, entry, args) ->
+      let subjects =
+        ("unoptimized", Pipelines.CMlir (Dcir_cfront.Polygeist.compile src))
+        :: List.map
+             (fun kind ->
+               (Pipelines.kind_name kind, Pipelines.compile kind ~src ~entry))
+             [ Pipelines.Gcc; Pipelines.Clang; Pipelines.Mlir ]
+      in
+      List.iter
+        (fun (pipeline, compiled) ->
+          let label = what ^ " " ^ pipeline in
+          check_compiled_differential ~label compiled ~entry args;
+          if entry = "fact" then
+            List.iter
+              (fun mode ->
+                let r = Pipelines.run ~interp_mode:mode compiled ~entry args in
+                Alcotest.(check bool)
+                  (label ^ ": 2^16 * 16!")
+                  true
+                  (r.return_value = Some (Value.VInt fact16)))
+              modes)
+        subjects)
+    call_corpus
+
+(* ------------------------------------------------------------------ *)
+(* MLIR trap parity: the same exception text, metrics and budget steps *)
+
+(* One MLIR engine's outcome on a module: the results or the exception's
+   text, plus the machine metrics and budget steps left behind. *)
+let mlir_outcome (mode : Dcir_mlir.Interp.mode) (m : Dcir_mlir.Ir.modul)
+    ~entry (args : Machine.t -> Dcir_mlir.Interp.rtval list) :
+    (Value.t list, string) result * Metrics.t * int =
+  let machine = Machine.create () in
+  let r =
+    match Dcir_mlir.Interp.run ~machine ~mode m ~entry (args machine) with
+    | vals, _ -> Ok vals
+    | exception e -> Error (Printexc.to_string e)
+  in
+  ( r,
+    Machine.metrics machine,
+    (Machine.budget machine).Dcir_resilience.Budget.steps )
+
+(* Both engines agree on [m]; [expect] is a substring of the trap message,
+   or [None] when the run must finish. *)
+let check_mlir_parity ~label ?expect m ~entry args =
+  let rt, mt, st = mlir_outcome Dcir_mlir.Interp.Tree m ~entry args in
+  let rc, mc, sc = mlir_outcome Dcir_mlir.Interp.Compiled m ~entry args in
+  (match (rt, rc, expect) with
+  | Error x, Error y, Some sub ->
+      Alcotest.(check string) (label ^ ": same exception") x y;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: trap mentions %S (got %S)" label sub x)
+        true (Tutil.contains x sub)
+  | Ok x, Ok y, None ->
+      Alcotest.(check bool) (label ^ ": same results") true
+        (List.equal Value.equal x y)
+  | _ -> Alcotest.failf "%s: unexpected outcome" label);
+  check_metrics_equal label mt mc;
+  Alcotest.(check int) (label ^ ": same budget steps") st sc
+
+let mlir_module (fs : Dcir_mlir.Ir.func list) : Dcir_mlir.Ir.modul =
+  let m = Dcir_mlir.Ir.new_module () in
+  m.funcs <- fs;
+  m
+
+let test_mlir_trap_parity () =
+  let open Dcir_mlir in
+  let int_arg n _ = [ Interp.Scalar (Value.VInt n) ] in
+  (* %x is bound only inside the then-branch and read after the if. *)
+  let branch_local =
+    Func_d.make_func ~name:"u" ~params:[ ("c", Types.I1) ] ~ret:[ Types.I32 ]
+      (fun params ->
+        let x = Arith.const_int Types.I32 5 in
+        let if_ =
+          Scf_d.if_ (List.hd params) ~result_tys:[] ~then_ops:[ x ]
+            ~else_ops:[]
+        in
+        let y = Arith.addi (Ir.result x) (Ir.result x) in
+        [ if_; y; Func_d.return_ [ Ir.result y ] ])
+  in
+  let m = mlir_module [ branch_local ] in
+  check_mlir_parity ~label:"value bound in the untaken branch"
+    ~expect:"unbound SSA value" m ~entry:"u" (int_arg 0);
+  check_mlir_parity ~label:"value bound in the taken branch" m ~entry:"u"
+    (int_arg 1);
+  (* Memrefs where scalars are expected, and the reverse. *)
+  let mem_ty = Types.MemRef (Types.F64, [ Types.Static 4; Types.Static 4 ]) in
+  let mem_arg machine =
+    let buf =
+      Machine.alloc machine ~storage:Machine.Heap ~elems:16 ~elem_bytes:8
+        ~zero_init:(Value.VFloat 1.5)
+    in
+    [ Interp.Buf { buf; dims = [| 4; 4 |] }; Interp.Scalar (Value.VInt 2) ]
+  in
+  let with_mem name build =
+    mlir_module
+      [
+        Func_d.make_func ~name
+          ~params:[ ("m", mem_ty); ("k", Types.Index) ]
+          ~ret:[ Types.F64 ]
+          (fun params ->
+            let mr = List.nth params 0 and k = List.nth params 1 in
+            let o = build mr k in
+            [ o; Func_d.return_ [ Ir.result o ] ]);
+      ]
+  in
+  check_mlir_parity ~label:"memref used as a scalar"
+    ~expect:"expected scalar, got memref"
+    (with_mem "s" (fun mr _ -> Arith.addf mr mr))
+    ~entry:"s" mem_arg;
+  check_mlir_parity ~label:"scalar used as a memref"
+    ~expect:"expected memref, got scalar"
+    (with_mem "l" (fun _ k -> Memref_d.load k [ k; k ]))
+    ~entry:"l" mem_arg;
+  check_mlir_parity ~label:"rank-2 memref indexed once"
+    ~expect:"index count 1 does not match rank 2"
+    (with_mem "r" (fun mr k -> Memref_d.load mr [ k ]))
+    ~entry:"r" mem_arg;
+  check_mlir_parity ~label:"rank-2 load"
+    (with_mem "ok" (fun mr k -> Memref_d.load mr [ k; k ]))
+    ~entry:"ok" mem_arg;
+  (* Recursion: 200 levels finish, 300 exceed the depth limit of 256. *)
+  let deep =
+    Dcir_cfront.Polygeist.compile
+      {|
+int deep(int n) {
+  int r = 0;
+  if (n > 0) { r = deep(n - 1) + 1; }
+  return r;
+}
+|}
+  in
+  check_mlir_parity ~label:"recursion 200 deep" deep ~entry:"deep"
+    (int_arg 200);
+  check_mlir_parity ~label:"recursion 300 deep" ~expect:"call depth exceeded"
+    deep ~entry:"deep" (int_arg 300)
 
 (* ------------------------------------------------------------------ *)
 (* Lowering without a plan probe: malformed states *)
@@ -631,6 +852,10 @@ let suite =
         test_bytecode_trap_timing;
       Alcotest.test_case "malformed state: same raise point" `Quick
         test_malformed_state;
+      Alcotest.test_case "mlir calls and recursion: closure-vs-tree" `Quick
+        test_mlir_calls_differential;
+      Alcotest.test_case "mlir trap parity under per-call frames" `Quick
+        test_mlir_trap_parity;
       Alcotest.test_case "fuzz corpus bytecode-vs-tree diff" `Slow
         test_fuzz_differential;
       Alcotest.test_case "fuzz corpus mlir closure-vs-tree" `Slow
