@@ -12,7 +12,9 @@
     metric divergence is a bug, and any slowdown defeats its purpose —
     both are hard failures here and in [validate_report]. [--sweep]
     widens the subject list to the full Polybench suite, through the dcir
-    pipeline (bytecode VM) and the gcc pipeline (MLIR closure engine).
+    pipeline (bytecode VM, native tasklets), the dace pipeline (bytecode
+    VM around opaque MLIR tasklets) and the gcc pipeline (MLIR closure
+    engine).
 
     Part two compiles kernels with [~autopar:true] (loop→map conversion)
     and runs the result serially and with [--jobs N] worker domains. The
@@ -204,11 +206,12 @@ let () =
      pure-MLIR pipeline, so both fast engines are exercised. *)
   let subjects : (Pipelines.kind * Workload.t) list =
     if !sweep then
-      (* Every Polybench kernel through the dcir pipeline (the bytecode
-         VM) and the gcc pipeline (the closure-compiled MLIR engine). *)
+      (* Every Polybench kernel through the dcir and dace pipelines (the
+         bytecode VM; dace's opaque tasklets take symbol arguments) and
+         the gcc pipeline (the closure-compiled MLIR engine). *)
       List.concat_map
         (fun kind -> List.map (fun w -> (kind, w)) Polybench.all)
-        [ Pipelines.Dcir; Pipelines.Gcc ]
+        [ Pipelines.Dcir; Pipelines.Dace; Pipelines.Gcc ]
     else
       [
         (Pipelines.Dcir, Polybench.gemm);

@@ -2,16 +2,29 @@
 
     A program is a single [instr array] executed by one dispatch loop
     ({!Vm}); all operands are integer indices into a preallocated
-    {!frame}. Instead of allocating a slot array per tasklet execution
-    and an index list per memlet access, the VM indexes fixed registers:
+    {!frame} or into the runtime's slot tables. Instead of allocating a
+    slot array per tasklet execution, an index list per memlet access
+    or hashing a name per symbol read, the VM indexes fixed registers:
 
     - [vals]  — tasklet connector slots and assignment results;
     - [ints]  — loop induction variables, range bounds, interstate
       assignment staging;
-    - [saves] — saved symbol bindings around serial map loops;
+    - [saves] — saved symbol bindings (value and bound flag) around
+      serial map loops;
     - [snaps] — metric snapshots for profile attribution;
     - [bufs]  — per-container (buffer, dims) pairs resolved once per
       frame, eliminating repeated hashtable lookups on the hot path.
+
+    Symbols are resolved at lowering time: every name the program reads
+    or writes is interned once, program-wide (nested [ParMap] bodies
+    share the table), into a slot of the runtime's symbol table
+    ({!Interp.symtab}), and the program records the names in [p_syms] so
+    {!Interp.execute} seeds the table in slot order. Symbol operands
+    ([LoopIter], [SaveSym]/[RestoreSym], [EdgeAssigns], [CallOpaque]'s
+    [syms], and the compiled expressions) are slots. Direct
+    tasklet-to-tasklet value edges likewise get slots in the runtime's
+    [edge_vals] ([SetOut] writes one, [LoadLast] reads one and traps on
+    [Interp.unset]); an output no value edge reads gets no [SetOut].
 
     Interstate control flow is pre-resolved into branch targets: every
     [EdgeCond] carries the pc of the next alternative and every taken
@@ -59,22 +72,23 @@ type instr =
       dst : string;
       if_false : int;  (** pc of the next alternative edge / fallthrough *)
     }
-  | EdgeAssigns of { base : int; items : (string * iexpr) array }
+  | EdgeAssigns of { base : int; syms : int array; rhs : iexpr array }
       (** evaluate all RHS with pre-assignment values (staged in
-          [ints.(base+i)]), then commit *)
+          [ints.(base+i)]), then bind symbol slots [syms] *)
   (* -- serial map loops -------------------------------------------- *)
   | EvalRange of { lo : int; hi : int; step : int; r : crange }
-  | SaveSym of { slot : int; sym : string }
-  | RestoreSym of { slot : int; sym : string }
+  | SaveSym of { slot : int; sym : int }
+  | RestoreSym of { slot : int; sym : int }
+      (** [slot] indexes the frame's saves, [sym] the symbol table *)
   | LoopInit of { iv : int; lo : int }
   | LoopHead of { iv : int; hi : int; exit_ : int }
-  | LoopIter of { sym : string; iv : int }
+  | LoopIter of { sym : int; iv : int }
       (** per-iteration charge (Int_alu + Branch) and symbol binding *)
   | LoopNext of { iv : int; step : int; head : int }
   (* -- certified parallel maps ------------------------------------- *)
   | ParMap of {
       cert : Sdfg.par_cert;
-      params : string list;
+      params : int list;  (** symbol slots *)
       ranges : crange list;
       body : program;
     }
@@ -107,8 +121,9 @@ type instr =
   | TaskRec of { slot : int; name : string }
   | LoadIdx of { dst : int; data : string; cslot : int; idxs : iexpr array }
       (** fill one connector slot from a single-element subset *)
-  | LoadLast of { dst : int; key : string; tname : string }
-      (** fill from a direct tasklet-to-tasklet value edge *)
+  | LoadLast of { dst : int; edge : int; key : string; tname : string }
+      (** fill from a direct tasklet-to-tasklet value edge: slot [edge] of
+          [edge_vals]; [key] ("nid:conn") names it in the trap *)
   | Eval of { dst : int; f : Interp.runtime -> Value.t array -> Value.t }
       (** general tasklet assignment: compiled body over [vals] *)
   | Bin of { dst : int; op : Texpr.binop; a : int; b : int }
@@ -116,7 +131,7 @@ type instr =
       (** explicit trap-carrying division *)
   | RemT of { dst : int; a : int; b : int }
       (** explicit trap-carrying remainder *)
-  | SetOut of { key : string; src : int }
+  | SetOut of { edge : int; src : int }
   | StoreIdx of {
       src : int;
       data : string;
@@ -129,21 +144,20 @@ type instr =
       op : Texpr.binop;
       a : int;
       b : int;
-      key : string;
       data : string;
       cslot : int;
       wcr : Sdfg.wcr option;
       idxs : iexpr array;
-    }  (** fused load-op-store tail: [Bin] + [SetOut] + [StoreIdx] *)
+    }  (** fused load-op-store tail: [Bin] + [StoreIdx] *)
   | CallOpaque of {
       tname : string;
       overhead : float;
       modul : Dcir_mlir.Ir.modul;
       entry : string;
       nid : int;
-      syms : string list;
+      syms : (int * string) list;  (** slot, name *)
       args : oarg array;
-      keys : string array;
+      nouts : int;
       obase : int;
     }
 
@@ -157,6 +171,9 @@ and program = {
   p_nsaves : int;
   p_nsnaps : int;
   p_ncslots : int;
+  p_syms : string array;
+      (** interned symbol names in slot order, nested bodies' included *)
+  p_nedges : int;  (** value-edge slots *)
 }
 
 (** Preallocated activation frame: sized once at [Vm.exec] entry, reused
@@ -164,7 +181,8 @@ and program = {
 type frame = {
   vals : Value.t array;
   ints : int array;
-  saves : int option array;
+  saves : int array;
+  saved_bound : bool array;  (** parallel to [saves] *)
   snaps : (float * int * int) option array;
   bufs : (Machine.buffer * int array) option array;
 }
@@ -173,7 +191,8 @@ let make_frame (p : program) : frame =
   {
     vals = Array.make (max 1 p.p_nvals) (Value.VInt 0);
     ints = Array.make (max 1 p.p_nints) 0;
-    saves = Array.make (max 1 p.p_nsaves) None;
+    saves = Array.make (max 1 p.p_nsaves) 0;
+    saved_bound = Array.make (max 1 p.p_nsaves) false;
     snaps = Array.make (max 1 p.p_nsnaps) None;
     bufs = Array.make (max 1 p.p_ncslots) None;
   }

@@ -11,7 +11,11 @@
       [LoopHead] / [LoopIter] / [LoopNext]);
     - interstate conditions are pre-evaluated into branch targets: each
       state's edge tests chain via [if_false] pcs and taken edges [Jmp]
-      straight to the destination state's entry pc.
+      straight to the destination state's entry pc;
+    - symbol names intern once into slots of a program-wide table that
+      nested [ParMap] bodies share, and value edges into slots of the
+      runtime's [edge_vals]; an output that no value edge reads is not
+      written there at all.
 
     States lower eagerly, while the walker meets a malformed graph (a
     cyclic dataflow graph, a copy edge to a missing node) only when it
@@ -31,7 +35,18 @@ open Isa
 (* Code builder: reversed instruction list + patch thunks resolved once
    every pc is known. *)
 
+(* Program-wide interning, shared by the top-level program and every
+   nested [ParMap] body, so a slot means the same symbol (or value edge)
+   in all of them. *)
+type shared = {
+  sym_slots : (string, int) Hashtbl.t;
+  edge_slots : (int * string, int) Hashtbl.t;
+  read_edges : (int * string, unit) Hashtbl.t;
+      (** (nid, conn) outputs some value edge reads *)
+}
+
 type builder = {
+  sh : shared;
   mutable rev : instr list;
   mutable len : int;
   mutable patches : (int * (unit -> instr)) list;
@@ -40,11 +55,11 @@ type builder = {
   mutable nsaves : int;
   mutable nsnaps : int;
   cslots : (string, int) Hashtbl.t;
-  mutable ncslots : int;
 }
 
-let new_builder () : builder =
+let new_builder (sh : shared) : builder =
   {
+    sh;
     rev = [];
     len = 0;
     patches = [];
@@ -53,7 +68,6 @@ let new_builder () : builder =
     nsaves = 0;
     nsnaps = 0;
     cslots = Hashtbl.create 16;
-    ncslots = 0;
   }
 
 let emit (b : builder) (i : instr) : int =
@@ -98,19 +112,28 @@ let alloc_snap (b : builder) : int =
   b.nsnaps <- s + 1;
   s
 
-(* One frame-cached (buffer, dims) slot per container name per program. *)
-let cslot (b : builder) (name : string) : int =
-  match Hashtbl.find_opt b.cslots name with
+(* The slot of [key] in [tbl]; slots number keys in order of first use. *)
+let intern (tbl : ('k, int) Hashtbl.t) (key : 'k) : int =
+  match Hashtbl.find_opt tbl key with
   | Some s -> s
   | None ->
-      let s = b.ncslots in
-      b.ncslots <- s + 1;
-      Hashtbl.replace b.cslots name s;
+      let s = Hashtbl.length tbl in
+      Hashtbl.replace tbl key s;
       s
+
+(* One frame-cached (buffer, dims) slot per container name per program. *)
+let cslot (b : builder) (name : string) : int = intern b.cslots name
+
+let sym (b : builder) (name : string) : int = intern b.sh.sym_slots name
+
+let edge_slot (b : builder) (key : int * string) : int =
+  intern b.sh.edge_slots key
 
 let finish (b : builder) (sdfg : Sdfg.t) : program =
   let code = Array.of_list (List.rev b.rev) in
   List.iter (fun (pc, f) -> code.(pc) <- f ()) b.patches;
+  let syms = Array.make (Hashtbl.length b.sh.sym_slots) "" in
+  Hashtbl.iter (fun name s -> syms.(s) <- name) b.sh.sym_slots;
   {
     p_sdfg = sdfg;
     p_code = code;
@@ -118,7 +141,9 @@ let finish (b : builder) (sdfg : Sdfg.t) : program =
     p_nints = b.nints;
     p_nsaves = b.nsaves;
     p_nsnaps = b.nsnaps;
-    p_ncslots = b.ncslots;
+    p_ncslots = Hashtbl.length b.cslots;
+    p_syms = syms;
+    p_nedges = Hashtbl.length b.sh.edge_slots;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -128,9 +153,9 @@ let finish (b : builder) (sdfg : Sdfg.t) : program =
    holds absolute frame-slot indices, so [Interp.compile_texpr] bodies
    evaluate directly over the frame's value array. *)
 
-let lower_index_exprs (subset : Range.t) : iexpr array =
+let lower_index_exprs (b : builder) (subset : Range.t) : iexpr array =
   Array.of_list
-    (List.map (fun (d : Range.dim) -> Interp.compile_expr d.lo) subset)
+    (List.map (fun (d : Range.dim) -> Interp.compile_expr (sym b) d.lo) subset)
 
 let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
     (t : Sdfg.tasklet) : unit =
@@ -153,7 +178,7 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
                     dst = slot;
                     data = m.data;
                     cslot = cslot b m.data;
-                    idxs = lower_index_exprs m.subset;
+                    idxs = lower_index_exprs b m.subset;
                   }
               else
                 TrapNow
@@ -170,8 +195,10 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
           match e.e_src_conn with
           | Some src_conn ->
               let key = Printf.sprintf "%d:%s" e.e_src src_conn in
+              let edge = edge_slot b (e.e_src, src_conn) in
               let slot = alloc_val b in
-              ignore (emit b (LoadLast { dst = slot; key; tname = t.tname }));
+              ignore
+                (emit b (LoadLast { dst = slot; edge; key; tname = t.tname }));
               benv := (conn, Interp.CBScalar slot) :: !benv
           | None -> ())
       | _ -> ())
@@ -196,8 +223,8 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
                       | Texpr.BDiv -> DivT { dst; a; b = bb }
                       | Texpr.BMod -> RemT { dst; a; b = bb }
                       | _ -> Bin { dst; op; a; b = bb })
-                  | _ -> Eval { dst; f = Interp.compile_texpr benv e })
-              | _ -> Eval { dst; f = Interp.compile_texpr benv e })
+                  | _ -> Eval { dst; f = Interp.compile_texpr (sym b) benv e })
+              | _ -> Eval { dst; f = Interp.compile_texpr (sym b) benv e })
             assigns
         in
         (instrs, List.map fst assigns, obase)
@@ -206,10 +233,6 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
         modul.funcs <- [ f ];
         let nouts = List.length t.t_outputs in
         let obase = alloc_vals b nouts in
-        let keys =
-          Array.of_list
-            (List.map (fun c -> Printf.sprintf "%d:%s" n.nid c) t.t_outputs)
-        in
         let args =
           Array.of_list
             (List.map
@@ -228,20 +251,26 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
                 modul;
                 entry = f.Dcir_mlir.Ir.fname;
                 nid = n.nid;
-                syms = t.t_syms;
+                syms = List.map (fun s -> (sym b s, s)) t.t_syms;
                 args;
-                keys;
+                nouts;
                 obase;
               };
           ],
           t.t_outputs,
           obase )
   in
-  let outkeys =
-    List.map (fun c -> Printf.sprintf "%d:%s" n.nid c) outnames
-  in
+  (* Value-edge writes, in output order (a repeated output name writes
+     its slot again, so the last one wins, as in [Interp.write_outputs]);
+     only outputs some value edge reads. *)
   let setouts =
-    List.mapi (fun i key -> SetOut { key; src = obase + i }) outkeys
+    List.concat
+      (List.mapi
+         (fun i conn ->
+           if Hashtbl.mem b.sh.read_edges (n.nid, conn) then
+             [ SetOut { edge = edge_slot b (n.nid, conn); src = obase + i } ]
+           else [])
+         outnames)
   in
   (* Writes, per out-edge in edge order; [Interp.write_outputs]
      semantics. *)
@@ -269,7 +298,7 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
                         data = m.data;
                         cslot = cslot b m.data;
                         wcr = m.wcr;
-                        idxs = lower_index_exprs m.subset;
+                        idxs = lower_index_exprs b m.subset;
                       }
                   else
                     TrapNow
@@ -279,26 +308,27 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
       (Sdfg.node_out_edges g n)
   in
   (* Peephole: a single two-operand assignment with a single indexed
-     write fuses into one load-op-store dispatch. Same effects, same
-     order (result slot, then last_outputs, then the store). *)
+     write fuses into one load-op-store dispatch (result slot, then the
+     store). Its value-edge write, if any, follows the store instead of
+     preceding it: nothing reads [edge_vals] in between, and a trapping
+     store ends the run (or the parallel chunk) that owns them. *)
   let fuse_parts = function
     | Bin { dst; op; a; b } -> Some (dst, op, a, b)
     | DivT { dst; a; b } -> Some (dst, Texpr.BDiv, a, b)
     | RemT { dst; a; b } -> Some (dst, Texpr.BMod, a, b)
     | _ -> None
   in
-  (match (body_instrs, setouts, writes) with
-  | ( [ bi ],
-      [ SetOut { key; src } ],
-      [ StoreIdx { src = wsrc; data; cslot = cs; wcr; idxs } ] )
+  (match (body_instrs, writes) with
+  | [ bi ], [ StoreIdx { src = wsrc; data; cslot = cs; wcr; idxs } ]
     when (match fuse_parts bi with
-         | Some (dst, _, _, _) -> src = dst && wsrc = dst
+         | Some (dst, _, _, _) -> wsrc = dst
          | None -> false) ->
       let dst, op, a, bb =
         match fuse_parts bi with Some p -> p | None -> assert false
       in
       ignore
-        (emit b (FusedBin { dst; op; a; b = bb; key; data; cslot = cs; wcr; idxs }))
+        (emit b (FusedBin { dst; op; a; b = bb; data; cslot = cs; wcr; idxs }));
+      List.iter (fun i -> ignore (emit b i)) setouts
   | _ ->
       List.iter (fun i -> ignore (emit b i)) body_instrs;
       List.iter (fun i -> ignore (emit b i)) setouts;
@@ -363,8 +393,8 @@ and lower_copy (b : builder) ~(src : string) ~(dst : string)
             dst;
             dslot = cslot b dst;
             wcr;
-            sr = Interp.compile_range_dim sd;
-            dr = Interp.compile_range_dim dd;
+            sr = Interp.compile_range_dim (sym b) sd;
+            dr = Interp.compile_range_dim (sym b) dd;
           }
     | _ ->
         CopyND
@@ -372,8 +402,8 @@ and lower_copy (b : builder) ~(src : string) ~(dst : string)
             src;
             dst;
             wcr;
-            sdims = List.map Interp.compile_range_dim src_subset;
-            ddims = List.map Interp.compile_range_dim dst_subset;
+            sdims = List.map (Interp.compile_range_dim (sym b)) src_subset;
+            ddims = List.map (Interp.compile_range_dim (sym b)) dst_subset;
           }
   in
   ignore (emit b i)
@@ -383,7 +413,7 @@ and lower_map (b : builder) (sdfg : Sdfg.t) (mn : Sdfg.map_node) : unit =
     List.map
       (fun rd ->
         let lo = alloc_int b and hi = alloc_int b and step = alloc_int b in
-        let r = Interp.compile_range_dim rd in
+        let r = Interp.compile_range_dim (sym b) rd in
         ignore (emit b (EvalRange { lo; hi; step; r }));
         (lo, hi, step))
       mn.m_ranges
@@ -412,9 +442,10 @@ and lower_map (b : builder) (sdfg : Sdfg.t) (mn : Sdfg.map_node) : unit =
                (ParMap
                   {
                     cert;
-                    params = mn.m_params;
-                    ranges = List.map Interp.compile_range_dim mn.m_ranges;
-                    body = lower_body sdfg mn.m_body;
+                    params = List.map (sym b) mn.m_params;
+                    ranges =
+                      List.map (Interp.compile_range_dim (sym b)) mn.m_ranges;
+                    body = lower_body b.sh sdfg mn.m_body;
                   })))
   | Some _ | None ->
       (* Serial nest: all range bounds evaluate up front (lo, hi, step
@@ -427,7 +458,7 @@ and lower_map (b : builder) (sdfg : Sdfg.t) (mn : Sdfg.map_node) : unit =
       let saves =
         List.map
           (fun p ->
-            let slot = alloc_save b in
+            let slot = alloc_save b and p = sym b p in
             ignore (emit b (SaveSym { slot; sym = p }));
             (p, slot))
           mn.m_params
@@ -454,13 +485,13 @@ and lower_map (b : builder) (sdfg : Sdfg.t) (mn : Sdfg.map_node) : unit =
               exit_ref := b.len
           | _ -> assert false
       in
-      nest 0 mn.m_params regs;
+      nest 0 (List.map fst saves) regs;
       List.iter
         (fun (p, slot) -> ignore (emit b (RestoreSym { slot; sym = p })))
         saves
 
-and lower_body (sdfg : Sdfg.t) (g : Sdfg.graph) : program =
-  let b = new_builder () in
+and lower_body (sh : shared) (sdfg : Sdfg.t) (g : Sdfg.graph) : program =
+  let b = new_builder sh in
   lower_graph b sdfg g;
   ignore (emit b Halt);
   finish b sdfg
@@ -479,7 +510,7 @@ let lower_state (b : builder) (sdfg : Sdfg.t) (s : Sdfg.state)
   Hashtbl.iter
     (fun _ (c : Sdfg.container) ->
       if c.alloc_state = Some s.s_label && c.storage = Sdfg.Heap then
-        allocs := (c, List.map Interp.compile_expr c.shape) :: !allocs)
+        allocs := (c, List.map (Interp.compile_expr (sym b)) c.shape) :: !allocs)
     sdfg.containers;
   List.iter
     (fun (c, shape) -> ignore (emit b (AllocState { c; shape })))
@@ -504,7 +535,7 @@ let lower_state (b : builder) (sdfg : Sdfg.t) (s : Sdfg.state)
   List.iter
     (fun (e : Sdfg.istate_edge) ->
       let skip = ref (-1) in
-      let cond = Interp.compile_bexpr e.ie_cond in
+      let cond = Interp.compile_bexpr (sym b) e.ie_cond in
       ignore
         (emit_patch b (fun () ->
              EdgeCond
@@ -512,21 +543,48 @@ let lower_state (b : builder) (sdfg : Sdfg.t) (s : Sdfg.state)
       (match e.ie_assign with
       | [] -> ()
       | assigns ->
-          let items =
+          let rhs =
             Array.of_list
-              (List.map
-                 (fun (sym, ex) -> (sym, Interp.compile_expr ex))
-                 assigns)
+              (List.map (fun (_, ex) -> Interp.compile_expr (sym b) ex) assigns)
           in
-          let base = alloc_ints b (Array.length items) in
-          ignore (emit b (EdgeAssigns { base; items })));
+          let syms = Array.of_list (List.map (fun (s, _) -> sym b s) assigns) in
+          let base = alloc_ints b (Array.length rhs) in
+          ignore (emit b (EdgeAssigns { base; syms; rhs })));
       emit_tail (Some e.ie_dst);
       skip := b.len)
     outs;
   emit_tail None
 
+(* The (nid, conn) outputs that some direct value edge reads, anywhere in
+   the SDFG. *)
+let read_edges (sdfg : Sdfg.t) : (int * string, unit) Hashtbl.t =
+  let tbl = Hashtbl.create 16 in
+  let rec walk (g : Sdfg.graph) =
+    List.iter
+      (fun (e : Sdfg.edge) ->
+        match (e.e_dst_conn, e.e_memlet, e.e_src_conn) with
+        | Some _, None, Some src_conn -> Hashtbl.replace tbl (e.e_src, src_conn) ()
+        | _ -> ())
+      (Sdfg.edges g);
+    List.iter
+      (fun (n : Sdfg.node) ->
+        match n.kind with
+        | Sdfg.MapN mn -> walk mn.m_body
+        | Sdfg.Access _ | Sdfg.TaskletN _ -> ())
+      (Sdfg.nodes g)
+  in
+  List.iter (fun (s : Sdfg.state) -> walk s.s_graph) (Sdfg.states sdfg);
+  tbl
+
 let lower (sdfg : Sdfg.t) : program =
-  let b = new_builder () in
+  let b =
+    new_builder
+      {
+        sym_slots = Hashtbl.create 16;
+        edge_slots = Hashtbl.create 16;
+        read_edges = read_edges sdfg;
+      }
+  in
   let state_pc : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let entry_ref = ref (-1) in
   ignore (emit_patch b (fun () -> Jmp !entry_ref));

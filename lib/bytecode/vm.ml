@@ -5,7 +5,10 @@
     machine metrics are bit-identical to it (the fuzz oracle and
     [test/test_interp_plans.ml] enforce this). What disappears is pure
     interpretation overhead: per-tasklet slot-array allocation, index
-    lists, tree dispatch, and the interstate edge scan.
+    lists, tree dispatch, the interstate edge scan, and name lookups —
+    symbols and value edges are slots resolved at lowering time, so a
+    bound symbol read or a value-edge write is one array access (an
+    unbound symbol still takes the walker's scalar-container fallback).
 
     Certified parallel maps run on {!Interp.exec_par_chunks} — the
     chunked schedule, forked machines and deterministic metric merge are
@@ -130,14 +133,14 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
                 src dst sym
         in
         if not taken then pc := if_false
-    | EdgeAssigns { base; items } ->
-        let n = Array.length items in
+    | EdgeAssigns { base; syms; rhs } ->
+        let n = Array.length rhs in
         for j = 0 to n - 1 do
           Machine.charge_op m Cost.Int_alu;
-          fr.ints.(base + j) <- Interp.ceval (snd items.(j)) rt
+          fr.ints.(base + j) <- Interp.ceval rhs.(j) rt
         done;
         for j = 0 to n - 1 do
-          Hashtbl.replace rt.symbols (fst items.(j)) fr.ints.(base + j)
+          Interp.sym_bind rt.symbols syms.(j) fr.ints.(base + j)
         done
     (* -- serial map loops ------------------------------------------ *)
     | EvalRange { lo; hi; step; r } ->
@@ -146,18 +149,18 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
         fr.ints.(hi) <- h;
         fr.ints.(step) <- s
     | SaveSym { slot; sym } ->
-        fr.saves.(slot) <- Hashtbl.find_opt rt.symbols sym
-    | RestoreSym { slot; sym } -> (
-        match fr.saves.(slot) with
-        | Some v -> Hashtbl.replace rt.symbols sym v
-        | None -> Hashtbl.remove rt.symbols sym)
+        fr.saves.(slot) <- rt.symbols.vals.(sym);
+        fr.saved_bound.(slot) <- rt.symbols.bound.(sym)
+    | RestoreSym { slot; sym } ->
+        rt.symbols.vals.(sym) <- fr.saves.(slot);
+        rt.symbols.bound.(sym) <- fr.saved_bound.(slot)
     | LoopInit { iv; lo } -> fr.ints.(iv) <- fr.ints.(lo)
     | LoopHead { iv; hi; exit_ } ->
         if fr.ints.(iv) > fr.ints.(hi) then pc := exit_
     | LoopIter { sym; iv } ->
         Machine.charge_op m Cost.Int_alu;
         Machine.charge_op m Cost.Branch;
-        Hashtbl.replace rt.symbols sym fr.ints.(iv)
+        Interp.sym_bind rt.symbols sym fr.ints.(iv)
     | LoopNext { iv; step; head } ->
         fr.ints.(iv) <- fr.ints.(iv) + fr.ints.(step);
         pc := head
@@ -208,12 +211,12 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
     | LoadIdx { dst; data; cslot; idxs } ->
         let buf, lin = load_linear rt fr ~data ~cslot idxs in
         fr.vals.(dst) <- Machine.load m buf lin
-    | LoadLast { dst; key; tname } -> (
-        match Hashtbl.find_opt rt.last_outputs key with
-        | Some v -> fr.vals.(dst) <- v
-        | None ->
-            Interp.trap "tasklet '%s': value edge source %s not yet executed"
-              tname key)
+    | LoadLast { dst; edge; key; tname } ->
+        let v = rt.edge_vals.(edge) in
+        if v == Interp.unset then
+          Interp.trap "tasklet '%s': value edge source %s not yet executed"
+            tname key
+        else fr.vals.(dst) <- v
     | Eval { dst; f } -> fr.vals.(dst) <- f rt fr.vals
     | Bin { dst; op; a; b } ->
         fr.vals.(dst) <- Interp.apply_binop m op fr.vals.(a) fr.vals.(b)
@@ -231,26 +234,24 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
             if y = 0 then Interp.trap "modulo by zero in tasklet"
             else fr.vals.(dst) <- Value.VInt (x mod y)
         | va, vb -> fr.vals.(dst) <- Interp.apply_binop m Texpr.BMod va vb)
-    | SetOut { key; src } ->
-        Hashtbl.replace rt.last_outputs key fr.vals.(src)
+    | SetOut { edge; src } -> rt.edge_vals.(edge) <- fr.vals.(src)
     | StoreIdx { src; data; cslot; wcr; idxs } ->
         let buf, lin = load_linear rt fr ~data ~cslot idxs in
         do_store rt buf lin wcr fr.vals.(src)
-    | FusedBin { dst; op; a; b; key; data; cslot; wcr; idxs } ->
+    | FusedBin { dst; op; a; b; data; cslot; wcr; idxs } ->
         let v = Interp.apply_binop m op fr.vals.(a) fr.vals.(b) in
         fr.vals.(dst) <- v;
-        Hashtbl.replace rt.last_outputs key v;
         let buf, lin = load_linear rt fr ~data ~cslot idxs in
         do_store rt buf lin wcr v
-    | CallOpaque { tname; overhead; modul; entry; nid; syms; args; keys; obase }
+    | CallOpaque { tname; overhead; modul; entry; nid; syms; args; nouts; obase }
       ->
         Machine.charge m overhead;
         let sym_args =
           List.map
-            (fun s ->
-              match Interp.sym_env rt s with
-              | Some v -> Dcir_mlir.Interp.Scalar (Value.VInt v)
-              | None ->
+            (fun (i, s) ->
+              match Interp.sym_get rt i s with
+              | v -> Dcir_mlir.Interp.Scalar (Value.VInt v)
+              | exception Expr.Unbound_symbol _ ->
                   Interp.trap "opaque tasklet '%s': unbound symbol '%s'" tname
                     s)
             syms
@@ -280,11 +281,9 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
               p
         in
         let results = Dcir_mlir.Interp.run_prepared prep (sym_args @ margs) in
-        let vals =
-          Array.of_list
-            (List.map2 (fun _ v -> v) (Array.to_list keys) results)
-        in
-        Array.blit vals 0 fr.vals obase (Array.length vals)
+        (* The walker pairs outputs with results by [List.map2]. *)
+        if List.length results <> nouts then invalid_arg "List.map2";
+        List.iteri (fun k v -> fr.vals.(obase + k) <- v) results
   done
 
 (** [run p ~buffers ~symbols] executes a lowered program; runtime
@@ -292,5 +291,5 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
     {!Interp.execute}'s, shared with the tree walker. *)
 let run ?machine ?profile ?jobs (p : program) ~buffers ~symbols () :
     Interp.result =
-  Interp.execute ?machine ?profile ?jobs p.p_sdfg ~buffers ~symbols (fun rt ->
-      exec rt p)
+  Interp.execute ?machine ?profile ?jobs ~sym_names:p.p_syms
+    ~edge_slots:p.p_nedges p.p_sdfg ~buffers ~symbols (fun rt -> exec rt p)

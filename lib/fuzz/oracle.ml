@@ -221,77 +221,84 @@ let autopar_failures ~(checked : bool) ?reproducer_dir ~(jobs : int)
         | None -> [])
 
 (* ------------------------------------------------------------------ *)
-(* Seventh pipeline: the two SDFG engines. The dcir artifact runs on the
-   reference tree walker and on the bytecode VM (the fast engine every
-   other dcir run uses), and the two must be BIT-IDENTICAL: same output
-   bits and the same value of every machine metric and budget counter —
-   or, when the program traps or exhausts a budget, the same exception
-   after the same budget spend. The engines differ only in host-side
-   dispatch, so any divergence at all is a lowering or VM bug. *)
+(* Seventh pipeline: the two SDFG engines. The dcir and dace artifacts
+   each run on the reference tree walker and on the bytecode VM (the fast
+   engine every other SDFG run uses), and the two must be BIT-IDENTICAL:
+   same output bits and the same value of every machine metric and budget
+   counter — or, when the program traps or exhausts a budget, the same
+   exception after the same budget spend. The engines differ only in
+   host-side dispatch, so any divergence at all is a lowering or VM bug.
+   dace's opaque tasklets are the only path through the VM's opaque
+   calls (symbol arguments included); dcir's native tasklets cover the
+   rest. *)
 
 let engine_failures ~(checked : bool) ~(limits : Budget.limits)
     ?reproducer_dir (case : Gen.case) : failure list =
-  match
-    Pipelines.compile ~checked ?reproducer_dir Pipelines.Dcir ~src:case.src
-      ~entry:case.entry
-  with
-  | exception e -> [ crash_failure "dcir-bytecode" e ]
-  | compiled -> (
-      let run mode =
-        let budget = Budget.create ~limits () in
-        let r =
-          try
-            Ok
-              (Pipelines.run ~budget ~interp_mode:mode compiled
-                 ~entry:case.entry (case.args ()))
-          with e -> Error e
-        in
-        (r, (budget.Budget.steps, budget.Budget.allocs))
-      in
-      let tree, tree_spend = run `Tree in
-      let fast, fast_spend = run `Fast in
-      let diverge msg =
-        [ { f_pipeline = "dcir-bytecode-vs-tree"; f_kind = Divergence msg;
-            f_invalid = false } ]
-      in
-      let spend_msg =
-        if tree_spend = fast_spend then None
-        else
-          Some
-            (Printf.sprintf
-               "budget spend differs between tree walker and bytecode VM \
-                (%d/%d vs %d/%d steps/allocs)"
-               (fst tree_spend) (snd tree_spend) (fst fast_spend)
-               (snd fast_spend))
-      in
-      match (tree, fast) with
-      | Ok t, Ok f -> (
-          match
-            bitwise_divergence ~what:"tree walker and bytecode VM" t f
-          with
-          | Some msg -> diverge msg
-          | None -> Option.fold ~none:[] ~some:diverge spend_msg)
-      | Error et, Error ef ->
-          let xt = Printexc.to_string et and xf = Printexc.to_string ef in
-          if xt <> xf then
-            diverge
-              (Printf.sprintf "tree walker raised %s, bytecode VM raised %s"
-                 xt xf)
-          else Option.fold ~none:[] ~some:diverge spend_msg
-      | Ok _, Error e -> [ crash_failure "dcir-bytecode" e ]
-      | Error e, Ok _ ->
-          diverge
-            (Printf.sprintf
-               "tree walker raised %s, bytecode VM ran to completion"
-               (Printexc.to_string e)))
+  List.concat_map
+    (fun kind ->
+      let name = Pipelines.kind_name kind ^ "-bytecode" in
+      match
+        Pipelines.compile ~checked ?reproducer_dir kind ~src:case.src
+          ~entry:case.entry
+      with
+      | exception e -> [ crash_failure name e ]
+      | compiled -> (
+          let run mode =
+            let budget = Budget.create ~limits () in
+            let r =
+              try
+                Ok
+                  (Pipelines.run ~budget ~interp_mode:mode compiled
+                     ~entry:case.entry (case.args ()))
+              with e -> Error e
+            in
+            (r, (budget.Budget.steps, budget.Budget.allocs))
+          in
+          let tree, tree_spend = run `Tree in
+          let fast, fast_spend = run `Fast in
+          let diverge msg =
+            [ { f_pipeline = name ^ "-vs-tree"; f_kind = Divergence msg;
+                f_invalid = false } ]
+          in
+          let spend_msg =
+            if tree_spend = fast_spend then None
+            else
+              Some
+                (Printf.sprintf
+                   "budget spend differs between tree walker and bytecode \
+                    VM (%d/%d vs %d/%d steps/allocs)"
+                   (fst tree_spend) (snd tree_spend) (fst fast_spend)
+                   (snd fast_spend))
+          in
+          match (tree, fast) with
+          | Ok t, Ok f -> (
+              match
+                bitwise_divergence ~what:"tree walker and bytecode VM" t f
+              with
+              | Some msg -> diverge msg
+              | None -> Option.fold ~none:[] ~some:diverge spend_msg)
+          | Error et, Error ef ->
+              let xt = Printexc.to_string et and xf = Printexc.to_string ef in
+              if xt <> xf then
+                diverge
+                  (Printf.sprintf
+                     "tree walker raised %s, bytecode VM raised %s" xt xf)
+              else Option.fold ~none:[] ~some:diverge spend_msg
+          | Ok _, Error e -> [ crash_failure name e ]
+          | Error e, Ok _ ->
+              diverge
+                (Printf.sprintf
+                   "tree walker raised %s, bytecode VM ran to completion"
+                   (Printexc.to_string e))))
+    [ Pipelines.Dcir; Pipelines.Dace ]
 
 (** Run [case] through the reference and all five pipelines; the empty
     list means every pipeline agreed with the unoptimized reference.
     [~checked] forwards to {!Pipelines.compile} (snapshot / re-verify /
     rollback around every optimization pass). [~parallel] adds the sixth,
     auto-parallelizing pipeline, whose [~jobs]-domain execution must match
-    its serial execution bit-for-bit. The seventh pipeline — the dcir
-    artifact on the tree walker and on the bytecode VM — always runs, in
+    its serial execution bit-for-bit. The seventh pipeline — the dcir and
+    dace artifacts on the tree walker and on the bytecode VM — always runs, in
     trap-parity mode too, and the two engines must agree bit-for-bit
     (outputs, traps, every machine metric and budget counter).
     [~limits] caps every compile (fuel) and run (steps, allocations) with

@@ -45,18 +45,25 @@ let ctx_create () : ctx = { next_vid = 0; next_oid = 0 }
    be distinct, not dense. *)
 let global_ctx : ctx = ctx_create ()
 
+(* Serve workers build IR on several domains at once, so each
+   read-increment of the counters holds [id_lock]: unsynchronized, two
+   values of one function could get the same id. *)
+let id_lock = Mutex.create ()
+
 let new_value ?(hint = "") (ty : Types.t) : value =
-  let v = { vid = global_ctx.next_vid; vty = ty; hint } in
-  global_ctx.next_vid <- global_ctx.next_vid + 1;
-  v
+  Mutex.lock id_lock;
+  let vid = global_ctx.next_vid in
+  global_ctx.next_vid <- vid + 1;
+  Mutex.unlock id_lock;
+  { vid; vty = ty; hint }
 
 let new_op ?(operands = []) ?(results = []) ?(attrs = []) ?(regions = [])
     (name : string) : op =
-  let o =
-    { oid = global_ctx.next_oid; name; operands; results; attrs; regions }
-  in
-  global_ctx.next_oid <- global_ctx.next_oid + 1;
-  o
+  Mutex.lock id_lock;
+  let oid = global_ctx.next_oid in
+  global_ctx.next_oid <- oid + 1;
+  Mutex.unlock id_lock;
+  { oid; name; operands; results; attrs; regions }
 
 let new_region ?(args = []) ?(ops = []) () : region = { rargs = args; rops = ops }
 

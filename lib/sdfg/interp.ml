@@ -23,18 +23,73 @@ exception Trap of string
 
 let trap fmt = Fmt.kstr (fun s -> raise (Trap s)) fmt
 
+(** The symbol table both engines share. Each name is interned once to a
+    slot; a bound slot is a plain array element. The bytecode lowering
+    interns every name its program reads or writes, and {!execute} seeds
+    the table with those names in slot order, so the VM's compiled code
+    indexes the table directly. The tree walker interns as it goes. *)
+type symtab = {
+  slot_of : (string, int) Hashtbl.t;
+  mutable vals : int array;
+  mutable bound : bool array;  (** parallel to [vals] *)
+}
+
+let symtab_create (names : string array) : symtab =
+  let n = Array.length names in
+  let slot_of = Hashtbl.create (max 16 n) in
+  Array.iteri (fun i s -> Hashtbl.replace slot_of s i) names;
+  { slot_of; vals = Array.make (max 8 n) 0; bound = Array.make (max 8 n) false }
+
+let symtab_copy (st : symtab) : symtab =
+  {
+    slot_of = Hashtbl.copy st.slot_of;
+    vals = Array.copy st.vals;
+    bound = Array.copy st.bound;
+  }
+
+(** The slot of [name], interning it (unbound) on first use. *)
+let sym_slot (st : symtab) (name : string) : int =
+  match Hashtbl.find_opt st.slot_of name with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length st.slot_of in
+      if i >= Array.length st.vals then begin
+        let grow a fill =
+          let b = Array.make (2 * i) fill in
+          Array.blit a 0 b 0 i;
+          b
+        in
+        st.vals <- grow st.vals 0;
+        st.bound <- grow st.bound false
+      end;
+      Hashtbl.replace st.slot_of name i;
+      i
+
+let sym_bind (st : symtab) (i : int) (v : int) : unit =
+  st.vals.(i) <- v;
+  st.bound.(i) <- true
+
+(** Value edges' "not yet executed" marker: physically unique, so no
+    computed value is ever mistaken for it. *)
+let unset : Value.t = Value.VInt (Sys.opaque_identity 0)
+
 type runtime = {
   machine : Machine.t;
   sdfg : Sdfg.t;
   buffers : (string, Machine.buffer) Hashtbl.t;
   dims : (string, int array) Hashtbl.t;
-  symbols : (string, int) Hashtbl.t;
+  symbols : symtab;
   topo_cache : (int, Sdfg.node list) Hashtbl.t;
       (** keyed by the nid of the first node; per-graph order cache *)
   alloc_charged : (string, unit) Hashtbl.t;
   last_outputs : (string, Value.t) Hashtbl.t;
-      (** "nid:conn" -> value of the most recent execution, for direct
-          tasklet-to-tasklet value edges created by scalar elimination *)
+      (** tree walker: "nid:conn" -> value of the most recent execution,
+          for direct tasklet-to-tasklet value edges created by scalar
+          elimination *)
+  edge_vals : Value.t array;
+      (** bytecode VM: the same values in lowering-assigned slots, [unset]
+          until first written; forked per parallel chunk like
+          [last_outputs] *)
   budget : Dcir_resilience.Budget.t;
       (** the machine's budget, cached; every executed graph and state
           transition charges one step against it *)
@@ -71,20 +126,34 @@ let profile_record (rt : runtime) (snap : (float * int * int) option)
         ~loads:(mt.loads - l0) ~stores:(mt.stores - s0)
   | _ -> ()
 
+(* An unbound symbol may name a scalar container: interstate conditions
+   read them directly (data-dependent control flow before symbol
+   promotion). *)
+let scalar_symbol (rt : runtime) (s : string) : int option =
+  match Hashtbl.find_opt rt.buffers s with
+  | Some b when b.size = 1 ->
+      (* A real load: the read must hit the cache model and the loads
+         counter, not bypass them via [peek]. *)
+      Machine.charge_op rt.machine Move;
+      Some (Value.as_int (Machine.load rt.machine b 0))
+  | _ -> None
+
 let sym_env (rt : runtime) : string -> int option =
   fun s ->
-    match Hashtbl.find_opt rt.symbols s with
-    | Some v -> Some v
-    | None -> (
-        (* Interstate conditions may read scalar containers directly
-           (data-dependent control flow before symbol promotion). *)
-        match Hashtbl.find_opt rt.buffers s with
-        | Some b when b.size = 1 ->
-            (* A real load: the read must hit the cache model and the
-               loads counter, not bypass them via [peek]. *)
-            Machine.charge_op rt.machine Move;
-            Some (Value.as_int (Machine.load rt.machine b 0))
-        | _ -> None)
+    let st = rt.symbols in
+    match Hashtbl.find st.slot_of s with
+    | i when st.bound.(i) -> Some st.vals.(i)
+    | _ | (exception Not_found) -> scalar_symbol rt s
+
+(** [sym_env] for a pre-interned slot [i] named [s]; raises
+    [Expr.Unbound_symbol]. A bound slot is one array read. *)
+let sym_get (rt : runtime) (i : int) (s : string) : int =
+  let st = rt.symbols in
+  if st.bound.(i) then st.vals.(i)
+  else
+    match scalar_symbol rt s with
+    | Some v -> v
+    | None -> raise (Expr.Unbound_symbol s)
 
 let eval_expr (rt : runtime) (e : Expr.t) : int =
   match Expr.eval (sym_env rt) e with
@@ -434,7 +503,7 @@ let combine_wcr (w : Sdfg.wcr) (a : Value.t) (b : Value.t) : Value.t =
   | Sdfg.WcrMin, false -> Value.VInt (min (Value.as_int a) (Value.as_int b))
 
 let exec_par_chunks (rt : runtime) (cert : Sdfg.par_cert)
-    ~(params : string list) ~(dims : (int * int * int) list)
+    ~(params : int list) ~(dims : (int * int * int) list)
     ~(body : runtime -> unit) : unit =
   let p0, ps, (lo, hi, step), ds =
     match (params, dims) with
@@ -494,10 +563,11 @@ let exec_par_chunks (rt : runtime) (cert : Sdfg.par_cert)
           budget = Machine.budget cmachine;
           buffers;
           dims = cdims;
-          symbols = Hashtbl.copy rt.symbols;
+          symbols = symtab_copy rt.symbols;
           topo_cache = Hashtbl.copy rt.topo_cache;
           alloc_charged = Hashtbl.copy rt.alloc_charged;
           last_outputs = Hashtbl.copy rt.last_outputs;
+          edge_vals = Array.copy rt.edge_vals;
           profile = None;
           prepared = Hashtbl.create 8;
           jobs = 1;
@@ -551,7 +621,7 @@ let exec_par_chunks (rt : runtime) (cert : Sdfg.par_cert)
             while !i <= h do
               Machine.charge_op crt.machine Int_alu;
               Machine.charge_op crt.machine Branch;
-              Hashtbl.replace crt.symbols p !i;
+              sym_bind crt.symbols p !i;
               iter prest drest;
               i := !i + st
             done
@@ -840,35 +910,40 @@ and exec_map (rt : runtime) (mn : Sdfg.map_node) : unit =
   | Some cert when mn.m_params <> [] ->
       let dims = List.map (eval_range_dim rt) mn.m_ranges in
       force_topo rt mn.m_body;
-      exec_par_chunks rt cert ~params:mn.m_params ~dims
+      let params = List.map (sym_slot rt.symbols) mn.m_params in
+      exec_par_chunks rt cert ~params ~dims
         ~body:(fun crt -> exec_graph crt mn.m_body)
   | Some _ | None -> exec_map_serial rt mn
 
 and exec_map_serial (rt : runtime) (mn : Sdfg.map_node) : unit =
   let dims = List.map (eval_range_dim rt) mn.m_ranges in
+  let st = rt.symbols in
   let saved =
-    List.map (fun p -> (p, Hashtbl.find_opt rt.symbols p)) mn.m_params
+    List.map
+      (fun p ->
+        let i = sym_slot st p in
+        (i, st.bound.(i), st.vals.(i)))
+      mn.m_params
   in
   let rec iter params dims =
     match (params, dims) with
     | [], [] -> exec_graph rt mn.m_body
-    | p :: ps, (lo, hi, step) :: ds ->
+    | (p, _, _) :: ps, (lo, hi, step) :: ds ->
         let i = ref lo in
         while !i <= hi do
           Machine.charge_op rt.machine Int_alu;
           Machine.charge_op rt.machine Branch;
-          Hashtbl.replace rt.symbols p !i;
+          sym_bind st p !i;
           iter ps ds;
           i := !i + step
         done
     | _ -> trap "map params/ranges mismatch"
   in
-  iter mn.m_params dims;
+  iter saved dims;
   List.iter
-    (fun (p, old) ->
-      match old with
-      | Some v -> Hashtbl.replace rt.symbols p v
-      | None -> Hashtbl.remove rt.symbols p)
+    (fun (i, was_bound, v) ->
+      st.vals.(i) <- v;
+      st.bound.(i) <- was_bound)
     saved
 
 (* ------------------------------------------------------------------ *)
@@ -935,7 +1010,9 @@ let run_tree (rt : runtime) : unit =
                 (sym, eval_expr rt ex))
               e.ie_assign
           in
-          List.iter (fun (sym, v) -> Hashtbl.replace rt.symbols sym v) values;
+          List.iter
+            (fun (sym, v) -> sym_bind rt.symbols (sym_slot rt.symbols sym) v)
+            values;
           Sdfg.find_state sdfg e.ie_dst
     in
     profile_record rt snap ~kind:"state" ~name:s.s_label;
@@ -954,23 +1031,33 @@ let run_tree (rt : runtime) : unit =
 
 (* Compiled symbolic expression; mirrors Expr.eval's left-to-right
    evaluation (the symbol environment may charge for scalar-container
-   reads) and raises Expr.Unbound_symbol like the interpreter. *)
-let rec compile_expr (e : Expr.t) : runtime -> int =
+   reads) and raises Expr.Unbound_symbol like the interpreter. [slot]
+   interns a symbol name in the lowering's table, so a symbol read is a
+   slot read ([sym_get]). *)
+let rec compile_expr (slot : string -> int) (e : Expr.t) : runtime -> int =
   match e with
   | Expr.Int n -> fun _ -> n
-  | Expr.Sym s -> (
+  | Expr.Sym s ->
+      let i = slot s in
+      fun rt -> sym_get rt i s
+  | Expr.Add [ a; b ] ->
+      let ca = compile_expr slot a and cb = compile_expr slot b in
       fun rt ->
-        match sym_env rt s with
-        | Some v -> v
-        | None -> raise (Expr.Unbound_symbol s))
+        let x = ca rt in
+        x + cb rt
   | Expr.Add xs ->
-      let cs = List.map compile_expr xs in
+      let cs = List.map (compile_expr slot) xs in
       fun rt -> List.fold_left (fun acc c -> acc + c rt) 0 cs
+  | Expr.Mul [ a; b ] ->
+      let ca = compile_expr slot a and cb = compile_expr slot b in
+      fun rt ->
+        let x = ca rt in
+        x * cb rt
   | Expr.Mul xs ->
-      let cs = List.map compile_expr xs in
+      let cs = List.map (compile_expr slot) xs in
       fun rt -> List.fold_left (fun acc c -> acc * c rt) 1 cs
   | Expr.Div (a, b) ->
-      let ca = compile_expr a and cb = compile_expr b in
+      let ca = compile_expr slot a and cb = compile_expr slot b in
       fun rt ->
         let x = ca rt in
         let y = cb rt in
@@ -978,7 +1065,7 @@ let rec compile_expr (e : Expr.t) : runtime -> int =
         else if (x < 0) <> (y < 0) && x mod y <> 0 then (x / y) - 1
         else x / y
   | Expr.Mod (a, b) ->
-      let ca = compile_expr a and cb = compile_expr b in
+      let ca = compile_expr slot a and cb = compile_expr slot b in
       fun rt ->
         let x = ca rt in
         let y = cb rt in
@@ -987,13 +1074,13 @@ let rec compile_expr (e : Expr.t) : runtime -> int =
           let m = x mod y in
           if m < 0 then m + abs y else m
   | Expr.Min (a, b) ->
-      let ca = compile_expr a and cb = compile_expr b in
+      let ca = compile_expr slot a and cb = compile_expr slot b in
       fun rt ->
         let x = ca rt in
         let y = cb rt in
         min x y
   | Expr.Max (a, b) ->
-      let ca = compile_expr a and cb = compile_expr b in
+      let ca = compile_expr slot a and cb = compile_expr slot b in
       fun rt ->
         let x = ca rt in
         let y = cb rt in
@@ -1005,12 +1092,12 @@ let ceval (c : runtime -> int) (rt : runtime) : int =
   | v -> v
   | exception Expr.Unbound_symbol s -> trap "unbound symbol '%s'" s
 
-let compile_bexpr (b : Bexpr.t) : runtime -> bool =
+let compile_bexpr (slot : string -> int) (b : Bexpr.t) : runtime -> bool =
   let rec go (b : Bexpr.t) : runtime -> bool =
     match b with
     | Bexpr.Bool v -> fun _ -> v
     | Bexpr.Cmp (op, a, c) ->
-        let ca = compile_expr a and cc = compile_expr c in
+        let ca = compile_expr slot a and cc = compile_expr slot c in
         let f : int -> int -> bool =
           match op with
           | Bexpr.Eq -> ( = )
@@ -1036,9 +1123,9 @@ let compile_bexpr (b : Bexpr.t) : runtime -> bool =
   in
   go b
 
-let compile_range_dim (d : Range.dim) :
+let compile_range_dim (slot : string -> int) (d : Range.dim) :
     (runtime -> int) * (runtime -> int) * (runtime -> int) =
-  (compile_expr d.lo, compile_expr d.hi, compile_expr d.step)
+  (compile_expr slot d.lo, compile_expr slot d.hi, compile_expr slot d.step)
 
 (* Evaluation order (lo, hi, step) mirrors [eval_range_dim]. *)
 let eval_crange (rt : runtime)
@@ -1055,8 +1142,8 @@ type cbind = CBScalar of int | CBArray of string
 
 (* Compiled tasklet expression over the slot array. Mirrors [eval_texpr]
    arm by arm (same charge points, same traps, same evaluation order). *)
-let rec compile_texpr (benv : (string * cbind) list) (e : Texpr.t) :
-    runtime -> Value.t array -> Value.t =
+let rec compile_texpr (slot : string -> int) (benv : (string * cbind) list)
+    (e : Texpr.t) : runtime -> Value.t array -> Value.t =
   match e with
   | Texpr.TFloat f ->
       let v = Value.VFloat f in
@@ -1065,10 +1152,12 @@ let rec compile_texpr (benv : (string * cbind) list) (e : Texpr.t) :
       let v = Value.VInt n in
       fun _ _ -> v
   | Texpr.TSym s -> (
+      let i = slot s in
       fun rt _ ->
-        match sym_env rt s with
-        | Some v -> VInt v
-        | None -> trap "tasklet references unbound symbol '%s'" s)
+        match sym_get rt i s with
+        | v -> VInt v
+        | exception Expr.Unbound_symbol _ ->
+            trap "tasklet references unbound symbol '%s'" s)
   | Texpr.TIn c -> (
       match List.assoc_opt c benv with
       | Some (CBScalar i) -> fun _ slots -> slots.(i)
@@ -1078,7 +1167,7 @@ let rec compile_texpr (benv : (string * cbind) list) (e : Texpr.t) :
   | Texpr.TIndex (c, idxs) -> (
       match List.assoc_opt c benv with
       | Some (CBArray data) ->
-          let cidxs = List.map (compile_texpr benv) idxs in
+          let cidxs = List.map (compile_texpr slot benv) idxs in
           fun rt slots ->
             let indices =
               List.map (fun ci -> Value.as_int (ci rt slots)) cidxs
@@ -1089,26 +1178,26 @@ let rec compile_texpr (benv : (string * cbind) list) (e : Texpr.t) :
           fun _ _ -> trap "connector '%s' is scalar; cannot index" c
       | None -> fun _ _ -> trap "unbound input connector '%s'" c)
   | Texpr.TBin (op, a, b) ->
-      let ca = compile_texpr benv a and cb = compile_texpr benv b in
+      let ca = compile_texpr slot benv a and cb = compile_texpr slot benv b in
       fun rt slots ->
         let va = ca rt slots in
         let vb = cb rt slots in
         apply_binop rt.machine op va vb
   | Texpr.TCmp (op, a, b) ->
-      let ca = compile_texpr benv a and cb = compile_texpr benv b in
+      let ca = compile_texpr slot benv a and cb = compile_texpr slot benv b in
       fun rt slots ->
         let va = ca rt slots in
         let vb = cb rt slots in
         apply_cmpop rt.machine op va vb
   | Texpr.TSelect (c, a, b) ->
-      let cc = compile_texpr benv c in
-      let ca = compile_texpr benv a in
-      let cb = compile_texpr benv b in
+      let cc = compile_texpr slot benv c in
+      let ca = compile_texpr slot benv a in
+      let cb = compile_texpr slot benv b in
       fun rt slots ->
         Machine.charge_op rt.machine Int_alu;
         if Value.as_bool (cc rt slots) then ca rt slots else cb rt slots
   | Texpr.TUn (`Neg, a) -> (
-      let ca = compile_texpr benv a in
+      let ca = compile_texpr slot benv a in
       fun rt slots ->
         match ca rt slots with
         | VFloat f ->
@@ -1118,22 +1207,22 @@ let rec compile_texpr (benv : (string * cbind) list) (e : Texpr.t) :
             Machine.charge_op rt.machine Int_alu;
             VInt (-n))
   | Texpr.TUn (`Not, a) ->
-      let ca = compile_texpr benv a in
+      let ca = compile_texpr slot benv a in
       fun rt slots ->
         Machine.charge_op rt.machine Int_alu;
         Value.of_bool (not (Value.as_bool (ca rt slots)))
   | Texpr.TUn (`ToFloat, a) ->
-      let ca = compile_texpr benv a in
+      let ca = compile_texpr slot benv a in
       fun rt slots ->
         Machine.charge_op rt.machine Move;
         VFloat (Value.as_float (ca rt slots))
   | Texpr.TUn (`ToInt, a) ->
-      let ca = compile_texpr benv a in
+      let ca = compile_texpr slot benv a in
       fun rt slots ->
         Machine.charge_op rt.machine Move;
         apply_toint (ca rt slots)
   | Texpr.TCall (fname, args) ->
-      let cargs = List.map (compile_texpr benv) args in
+      let cargs = List.map (compile_texpr slot benv) args in
       fun rt slots ->
         let vargs = List.map (fun c -> Value.as_float (c rt slots)) cargs in
         apply_call rt.machine fname vargs
@@ -1153,9 +1242,12 @@ type result = {
     state's outgoing transition costs, so the per-state entries partition
     the run's total — and per tasklet (inclusive). Shared by the tree
     walker ({!run}) and the bytecode VM, so both engines bind, validate
-    and return identically. *)
+    and return identically. The VM passes its program's interned symbol
+    names ([sym_names], in slot order) and its value-edge slot count
+    ([edge_slots]). *)
 let execute ?(machine : Machine.t option)
     ?(profile : Dcir_obs.Obs.Profile.t option) ?(jobs : int = 1)
+    ?(sym_names : string array = [||]) ?(edge_slots : int = 0)
     (sdfg : Sdfg.t) ~(buffers : (string * Machine.buffer * int array) list)
     ~(symbols : (string * int) list) (engine : runtime -> unit) : result =
   let machine = match machine with Some m -> m | None -> Machine.create () in
@@ -1165,17 +1257,18 @@ let execute ?(machine : Machine.t option)
       sdfg;
       buffers = Hashtbl.create 32;
       dims = Hashtbl.create 32;
-      symbols = Hashtbl.create 32;
+      symbols = symtab_create sym_names;
       topo_cache = Hashtbl.create 32;
       alloc_charged = Hashtbl.create 16;
       last_outputs = Hashtbl.create 32;
+      edge_vals = Array.make edge_slots unset;
       budget = Machine.budget machine;
       profile;
       prepared = Hashtbl.create 8;
       jobs = max 1 jobs;
     }
   in
-  List.iter (fun (s, v) -> Hashtbl.replace rt.symbols s v) symbols;
+  List.iter (fun (s, v) -> sym_bind rt.symbols (sym_slot rt.symbols s) v) symbols;
   List.iter
     (fun (name, buf, dims) ->
       Hashtbl.replace rt.buffers name buf;

@@ -25,12 +25,12 @@ module Metrics = Dcir_machine.Metrics
 (* The two SDFG engines, driven directly on a hand-built SDFG. *)
 type engine = Tree | Bytecode
 
-let run_engine (engine : engine) ?machine (sdfg : Sdfg.t) ~buffers ~symbols :
-    Interp.result =
+let run_engine (engine : engine) ?machine ?jobs (sdfg : Sdfg.t) ~buffers
+    ~symbols : Interp.result =
   match engine with
-  | Tree -> Interp.run ?machine sdfg ~buffers ~symbols ()
+  | Tree -> Interp.run ?machine ?jobs sdfg ~buffers ~symbols ()
   | Bytecode ->
-      Dcir_bytecode.Vm.run ?machine
+      Dcir_bytecode.Vm.run ?machine ?jobs
         (Dcir_bytecode.Lower.lower sdfg)
         ~buffers ~symbols ()
 
@@ -691,6 +691,124 @@ int deep(int n) {
     deep ~entry:"deep" (int_arg 300)
 
 (* ------------------------------------------------------------------ *)
+(* Hand-built SDFGs on both engines: one outcome per engine — the
+   argument containers' final contents, the exception text if it raised,
+   the machine metrics and the budget steps, all observable after a
+   raise because the caller owns the machine and the buffers — compared
+   bitwise. *)
+
+(* Argument containers: name, dims ([||] for a scalar), initial values. *)
+type arg = string * int array * Value.t array
+
+let ints xs = Array.map (fun x -> Value.VInt x) xs
+let floats xs = Array.map (fun x -> Value.VFloat x) xs
+
+let add_args (sdfg : Sdfg.t) (args : arg list) : unit =
+  List.iter
+    (fun (name, dims, init) ->
+      let dtype =
+        if Value.is_float init.(0) then Sdfg.DFloat else Sdfg.DInt
+      in
+      ignore
+        (Sdfg.add_container sdfg ~transient:false ~dtype
+           ~shape:(List.map Expr.int (Array.to_list dims))
+           name))
+    args;
+  sdfg.param_order <- List.map (fun (n, _, _) -> n) args
+
+type sdfg_outcome =
+  (string * Value.t array) list * string option * Metrics.t * int
+
+let run_sdfg (engine : engine) ?jobs (sdfg : Sdfg.t) (args : arg list)
+    ~symbols : sdfg_outcome =
+  let machine = Machine.create () in
+  let buffers =
+    List.map
+      (fun (name, dims, init) ->
+        let buf =
+          Machine.alloc machine ~storage:Machine.Heap
+            ~elems:(Array.length init) ~elem_bytes:8 ~zero_init:init.(0)
+        in
+        Array.iteri (Machine.poke buf) init;
+        (name, buf, dims))
+      args
+  in
+  let exn =
+    match run_engine engine ~machine ?jobs sdfg ~buffers ~symbols with
+    | _ -> None
+    | exception e -> Some (Printexc.to_string e)
+  in
+  ( List.map
+      (fun (name, (buf : Machine.buffer), _) -> (name, Machine.snapshot buf))
+      buffers,
+    exn,
+    Machine.metrics machine,
+    (Machine.budget machine).Dcir_resilience.Budget.steps )
+
+let check_same_outcome label ((ot, et, mt, st) : sdfg_outcome)
+    ((ob, eb, mb, sb) : sdfg_outcome) : unit =
+  let same_outputs =
+    List.for_all2
+      (fun (n, x) (m, y) ->
+        String.equal n m
+        && Array.length x = Array.length y
+        && Array.for_all2 Value.equal x y)
+      ot ob
+  in
+  if not same_outputs then Alcotest.failf "%s: outputs differ" label;
+  Alcotest.(check (option string)) (label ^ ": same exception") et eb;
+  check_metrics_equal label mt mb;
+  Alcotest.(check int) (label ^ ": same budget steps") st sb
+
+(* Runs both engines, checks they agree, and returns the walker's
+   outcome. *)
+let both_engines ?jobs label sdfg args ~symbols : sdfg_outcome =
+  let t = run_sdfg Tree ?jobs sdfg args ~symbols in
+  check_same_outcome label t (run_sdfg Bytecode ?jobs sdfg args ~symbols);
+  t
+
+let expect_output label ((outs, e, _, _) : sdfg_outcome) name
+    (want : Value.t array) : unit =
+  match e with
+  | Some msg -> Alcotest.failf "%s: raised %s" label msg
+  | None ->
+      let got = List.assoc name outs in
+      if not (Array.length got = Array.length want
+              && Array.for_all2 Value.equal got want)
+      then
+        Alcotest.failf "%s: %s = [%s], want [%s]" label name
+          (String.concat "; " (Array.to_list (Array.map Value.to_string got)))
+          (String.concat "; " (Array.to_list (Array.map Value.to_string want)))
+
+let expect_trap label ((_, e, _, _) : sdfg_outcome) (sub : string) : unit =
+  match e with
+  | Some msg ->
+      if not (Tutil.contains msg sub) then
+        Alcotest.failf "%s: exception %S lacks %S" label msg sub
+  | None -> Alcotest.failf "%s: expected a trap mentioning %S" label sub
+
+(* A tasklet writing [outs] (connector, expression, container, index
+   expressions) through single-element memlets. *)
+let add_writer ?(ins = []) (g : Sdfg.graph) name
+    (outs : (string * Texpr.t * string * Expr.t list) list) : Sdfg.node =
+  let t =
+    Sdfg.add_node g
+      (Sdfg.TaskletN
+         (mk_tasklet name ins
+            (List.map (fun (c, _, _, _) -> c) outs)
+            (List.map (fun (c, e, _, _) -> (c, e)) outs)))
+  in
+  List.iter
+    (fun (c, _, data, idx) ->
+      let acc = Sdfg.add_node g (Sdfg.Access data) in
+      ignore
+        (Sdfg.add_edge g ~src_conn:c
+           ~memlet:(memlet data (Range.of_indices idx))
+           t acc))
+    outs;
+  t
+
+(* ------------------------------------------------------------------ *)
 (* Lowering without a plan probe: malformed states *)
 
 (* A cyclic dataflow graph: two tasklets feeding each other through value
@@ -767,27 +885,6 @@ let malformed_sdfg ?(par = false) ~(in_map : int option) ~(reach : bool) ()
   sdfg.start_state <- "init";
   sdfg
 
-(* Outcome of one engine: the final value of [a] or the exception's text,
-   plus the machine metrics and budget steps — observable even after a
-   raise, because the caller owns the machine. *)
-let run_malformed (engine : engine) (sdfg : Sdfg.t) :
-    (float, string) result * Metrics.t * int =
-  let machine = Machine.create () in
-  let a =
-    Machine.alloc machine ~storage:Machine.Heap ~elems:1 ~elem_bytes:8
-      ~zero_init:(Value.VFloat 0.0)
-  in
-  let r =
-    match
-      run_engine engine ~machine sdfg ~buffers:[ ("a", a, [||]) ] ~symbols:[]
-    with
-    | _ -> Ok (Value.as_float (Machine.peek a 0))
-    | exception e -> Error (Printexc.to_string e)
-  in
-  ( r,
-    Machine.metrics machine,
-    (Machine.budget machine).Dcir_resilience.Budget.steps )
-
 let test_malformed_state () =
   List.iter
     (fun (what, par, in_map, reach, expect_raise) ->
@@ -795,26 +892,16 @@ let test_malformed_state () =
       (* Lowering itself must not raise: the failure is deferred to the
          point where the state runs. *)
       ignore (Dcir_bytecode.Lower.lower sdfg);
-      let rt, mt, st = run_malformed Tree sdfg in
-      let rb, mb, sb = run_malformed Bytecode sdfg in
-      (match (rt, rb) with
-      | Error x, Error y ->
-          Alcotest.(check bool) (what ^ ": raises") true expect_raise;
-          Alcotest.(check string) (what ^ ": same exception") x y;
-          Alcotest.(check bool)
-            (what ^ ": raised on the cycle")
-            true
-            (Tutil.contains x "cycle")
-      | Ok x, Ok y ->
-          Alcotest.(check bool) (what ^ ": completes") false expect_raise;
-          Alcotest.(check (float 0.0)) (what ^ ": same output") x y;
-          Alcotest.(check (float 0.0)) (what ^ ": work ran") 3.0 x
-      | _ -> Alcotest.failf "%s: one engine raised, the other did not" what);
-      check_metrics_equal what mt mb;
-      Alcotest.(check int) (what ^ ": same budget steps") st sb;
+      let o =
+        both_engines what sdfg [ ("a", [||], floats [| 0.0 |]) ] ~symbols:[]
+      in
+      (* A raise comes from the cycle; a finished run did the work. *)
+      if expect_raise then expect_trap what o "cycle"
+      else expect_output what o "a" (floats [| 3.0 |]);
       (* The earlier states ran (three loads of a) and, when [bad] was
          entered, its allocation was charged before the raise (on top of
          the argument buffer's). *)
+      let _, _, mt, _ = o in
       Alcotest.(check bool) (what ^ ": earlier states charged") true
         (mt.loads >= 3);
       Alcotest.(check int)
@@ -831,6 +918,291 @@ let test_malformed_state () =
       ("cycle in a zero-trip certified map", true, Some 0, true, true);
       ("unreachable cyclic state", false, None, false, false);
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Slot-resolved symbols and value edges.
+
+   The bytecode lowering interns symbols and value edges into slots; the
+   tree walker looks them up by name. These hand-built SDFGs pin the
+   corners where the two could part: a symbol shadowing a same-named
+   scalar container (bound and unbound), a map parameter that was
+   unbound before its map, simultaneous interstate assignments, value
+   edges inside parallel chunks, opaque tasklets' symbol arguments and a
+   value edge that is never produced. Each case compares the engines
+   bitwise — outputs, exception text, every machine metric and the
+   budget steps — and also checks the walker's answer. *)
+
+let test_symbol_shadows_scalar () =
+  (* [n] is both a scalar container (holding 7) and, when passed in
+     [~symbols], a symbol. s0 reads n in a tasklet and an interstate
+     condition, then binds n := n + 1; s1 reads the now-bound symbol. *)
+  let sdfg = Sdfg.create "shadow" in
+  let args = [ ("n", [||], ints [| 7 |]); ("out", [| 2 |], ints [| 0; 0 |]) ] in
+  add_args sdfg args;
+  let s0 = Sdfg.add_state sdfg "s0" in
+  ignore
+    (add_writer s0.s_graph "t0"
+       [ ("_o", Texpr.TBin (Texpr.BMul, TSym "n", TInt 10), "out",
+          [ Expr.int 0 ]) ]);
+  let s1 = Sdfg.add_state sdfg "s1" in
+  ignore
+    (add_writer s1.s_graph "t1" [ ("_o", Texpr.TSym "n", "out", [ Expr.int 1 ]) ]);
+  ignore (Sdfg.add_state sdfg "s2");
+  Sdfg.add_istate_edge sdfg
+    ~cond:(Bexpr.gt (Expr.sym "n") (Expr.int 2))
+    ~assign:[ ("n", Expr.add (Expr.sym "n") Expr.one) ]
+    ~src:"s0" ~dst:"s1" ();
+  Sdfg.add_istate_edge sdfg
+    ~cond:(Bexpr.le (Expr.sym "n") (Expr.int 2))
+    ~src:"s0" ~dst:"s2" ();
+  sdfg.start_state <- "s0";
+  let bound = both_engines "n bound" sdfg args ~symbols:[ ("n", 5) ] in
+  expect_output "n bound" bound "out" (ints [| 50; 6 |]);
+  let unbound = both_engines "n unbound" sdfg args ~symbols:[] in
+  (* Unbound: s0's three reads (tasklet, condition, assignment) load the
+     container; s1 reads the symbol the edge bound. *)
+  expect_output "n unbound" unbound "out" (ints [| 70; 8 |]);
+  let _, _, mb, _ = bound and _, _, mu, _ = unbound in
+  Alcotest.(check int) "unbound reads load the container" (mb.loads + 3)
+    mu.loads
+
+let test_map_param_restore () =
+  (* s0 runs a serial map over i writing y[i] = x[i] + i; s1 then reads
+     symbol i, which the map must have restored to its state before the
+     map: unbound (trap, or the same-named scalar container when one
+     exists) or the caller's binding. *)
+  let build ~with_container =
+    let sdfg = Sdfg.create "restore" in
+    let args =
+      [ ("x", [| 4 |], ints [| 10; 20; 30; 40 |]);
+        ("y", [| 4 |], ints [| 0; 0; 0; 0 |]);
+        ("r", [||], ints [| 0 |]) ]
+      @ if with_container then [ ("i", [||], ints [| 42 |]) ] else []
+    in
+    add_args sdfg args;
+    let s0 = Sdfg.add_state sdfg "s0" in
+    let body = Sdfg.new_graph () in
+    let ax = Sdfg.add_node body (Sdfg.Access "x") in
+    let t =
+      add_writer ~ins:[ "_a" ] body "body"
+        [ ("_o", Texpr.TBin (Texpr.BAdd, TIn "_a", TSym "i"), "y",
+           [ Expr.sym "i" ]) ]
+    in
+    ignore
+      (Sdfg.add_edge body ~dst_conn:"_a"
+         ~memlet:(memlet "x" (Range.of_indices [ Expr.sym "i" ]))
+         ax t);
+    ignore
+      (Sdfg.add_node s0.s_graph
+         (Sdfg.MapN
+            { m_params = [ "i" ]; m_ranges = [ Range.full (Expr.int 4) ];
+              m_body = body; m_par = None }));
+    let s1 = Sdfg.add_state sdfg "s1" in
+    ignore (add_writer s1.s_graph "after" [ ("_o", Texpr.TSym "i", "r", []) ]);
+    Sdfg.add_istate_edge sdfg ~src:"s0" ~dst:"s1" ();
+    sdfg.start_state <- "s0";
+    (sdfg, args)
+  in
+  let sdfg, args = build ~with_container:false in
+  let o = both_engines "unbound before the map" sdfg args ~symbols:[] in
+  expect_trap "unbound before the map" o
+    "tasklet references unbound symbol 'i'";
+  let o = both_engines "bound before the map" sdfg args ~symbols:[ ("i", 9) ] in
+  expect_output "bound before the map" o "y" (ints [| 10; 21; 32; 43 |]);
+  expect_output "bound before the map" o "r" (ints [| 9 |]);
+  let sdfg, args = build ~with_container:true in
+  let o = both_engines "container after the map" sdfg args ~symbols:[] in
+  expect_output "container after the map" o "y" (ints [| 10; 21; 32; 43 |]);
+  expect_output "container after the map" o "r" (ints [| 42 |])
+
+let test_interstate_swap () =
+  (* init -> loop (5 trips of f, g := f + g, f) -> done; every right-hand
+     side reads the pre-assignment values, including those the same edge
+     reassigns. *)
+  let sdfg = Sdfg.create "swap" in
+  let args = [ ("out", [| 3 |], ints [| 0; 0; 0 |]) ] in
+  add_args sdfg args;
+  List.iter (fun l -> ignore (Sdfg.add_state sdfg l)) [ "init"; "loop" ];
+  let fin = Sdfg.add_state sdfg "done" in
+  ignore
+    (add_writer fin.s_graph "w"
+       [ ("_i", Texpr.TSym "i", "out", [ Expr.int 0 ]);
+         ("_f", Texpr.TSym "f", "out", [ Expr.int 1 ]);
+         ("_g", Texpr.TSym "g", "out", [ Expr.int 2 ]) ]);
+  Sdfg.add_istate_edge sdfg
+    ~assign:[ ("i", Expr.zero); ("f", Expr.sym "g"); ("g", Expr.sym "f") ]
+    ~src:"init" ~dst:"loop" ();
+  Sdfg.add_istate_edge sdfg
+    ~cond:(Bexpr.lt (Expr.sym "i") (Expr.int 5))
+    ~assign:
+      [ ("i", Expr.add (Expr.sym "i") Expr.one);
+        ("f", Expr.add (Expr.sym "f") (Expr.sym "g"));
+        ("g", Expr.sym "f") ]
+    ~src:"loop" ~dst:"loop" ();
+  Sdfg.add_istate_edge sdfg
+    ~cond:(Bexpr.ge (Expr.sym "i") (Expr.int 5))
+    ~src:"loop" ~dst:"done" ();
+  sdfg.start_state <- "init";
+  (* f, g start swapped from (0, 1) to (1, 0); five Fibonacci steps. *)
+  let o = both_engines "swap" sdfg args ~symbols:[ ("f", 0); ("g", 1) ] in
+  expect_output "swap" o "out" (ints [| 5; 8; 5 |])
+
+let test_par_value_edge () =
+  (* A certified map whose body passes a value edge between two tasklets:
+     y[i] = x[i] * 2 + i, run serially and on two domains. *)
+  let sdfg = Sdfg.create "parvalue" in
+  let n = 16 in
+  let args =
+    [ ("x", [| n |], floats (Array.init n (fun k -> float_of_int k +. 0.5)));
+      ("y", [| n |], floats (Array.make n 0.0)) ]
+  in
+  add_args sdfg args;
+  let s = Sdfg.add_state sdfg "s" in
+  let body = Sdfg.new_graph () in
+  let ax = Sdfg.add_node body (Sdfg.Access "x") in
+  let t1 =
+    Sdfg.add_node body
+      (Sdfg.TaskletN
+         (mk_tasklet "dbl" [ "_a" ] [ "_o" ]
+            [ ("_o", Texpr.TBin (Texpr.BMul, TIn "_a", TFloat 2.0)) ]))
+  in
+  let t2 =
+    add_writer ~ins:[ "_v" ] body "add"
+      [ ("_w", Texpr.TBin (Texpr.BAdd, TIn "_v", TSym "i"), "y",
+         [ Expr.sym "i" ]) ]
+  in
+  let at = memlet "x" (Range.of_indices [ Expr.sym "i" ]) in
+  ignore (Sdfg.add_edge body ~dst_conn:"_a" ~memlet:at ax t1);
+  ignore (Sdfg.add_edge body ~src_conn:"_o" ~dst_conn:"_v" t1 t2);
+  ignore
+    (Sdfg.add_node s.s_graph
+       (Sdfg.MapN
+          { m_params = [ "i" ]; m_ranges = [ Range.full (Expr.int n) ];
+            m_body = body;
+            m_par =
+              Some
+                { Sdfg.pc_sym = "i";
+                  pc_classes =
+                    [ ("x", Sdfg.ParReadOnly); ("y", Sdfg.ParDisjoint) ] } }));
+  let want =
+    floats (Array.init n (fun k -> ((float_of_int k +. 0.5) *. 2.0) +. float_of_int k))
+  in
+  let j1 = both_engines ~jobs:1 "par value edge, jobs 1" sdfg args ~symbols:[] in
+  expect_output "par value edge, jobs 1" j1 "y" want;
+  let j2 = both_engines ~jobs:2 "par value edge, jobs 2" sdfg args ~symbols:[] in
+  check_same_outcome "par value edge, jobs 1 vs 2" j1 j2
+
+(* An opaque tasklet computing _o = _x + (double)s from its symbol
+   argument s and input connector _x. *)
+let opaque_add_sym name sym : Sdfg.tasklet =
+  let open Dcir_mlir in
+  let f =
+    Func_d.make_func ~name:("op_" ^ name)
+      ~params:[ ("s", Types.Index); ("_x", Types.F64) ]
+      ~ret:[ Types.F64 ]
+      (fun params ->
+        let vs = List.nth params 0 and vx = List.nth params 1 in
+        let c = Arith.sitofp vs Types.F64 in
+        let r = Arith.addf vx (Ir.result c) in
+        [ c; r; Func_d.return_ [ Ir.result r ] ])
+  in
+  {
+    Sdfg.tname = name;
+    t_inputs = [ "_x" ];
+    t_outputs = [ "_o" ];
+    t_syms = [ sym ];
+    code = Sdfg.Opaque f;
+    t_overhead = 3.0;
+  }
+
+let test_opaque_loop_symbol () =
+  (* A serial map over i whose opaque body reads i as a symbol argument,
+     then (when [after]) an opaque tasklet in the next state reading i
+     again — unbound there, since the map restored it. *)
+  let build ~after =
+    let sdfg = Sdfg.create "opaque" in
+    let args =
+      [ ("x", [| 4 |], floats [| 1.0; 2.0; 3.0; 4.0 |]);
+        ("y", [| 4 |], floats [| 0.0; 0.0; 0.0; 0.0 |]);
+        ("z", [||], floats [| 0.0 |]) ]
+    in
+    add_args sdfg args;
+    let s0 = Sdfg.add_state sdfg "s0" in
+    let body = Sdfg.new_graph () in
+    let ax = Sdfg.add_node body (Sdfg.Access "x") in
+    let t = Sdfg.add_node body (Sdfg.TaskletN (opaque_add_sym "inmap" "i")) in
+    let ay = Sdfg.add_node body (Sdfg.Access "y") in
+    let at = Range.of_indices [ Expr.sym "i" ] in
+    ignore (Sdfg.add_edge body ~dst_conn:"_x" ~memlet:(memlet "x" at) ax t);
+    ignore (Sdfg.add_edge body ~src_conn:"_o" ~memlet:(memlet "y" at) t ay);
+    ignore
+      (Sdfg.add_node s0.s_graph
+         (Sdfg.MapN
+            { m_params = [ "i" ]; m_ranges = [ Range.full (Expr.int 4) ];
+              m_body = body; m_par = None }));
+    if after then begin
+      let s1 = Sdfg.add_state sdfg "s1" in
+      let g = s1.s_graph in
+      let ax = Sdfg.add_node g (Sdfg.Access "x") in
+      let t = Sdfg.add_node g (Sdfg.TaskletN (opaque_add_sym "after" "i")) in
+      let az = Sdfg.add_node g (Sdfg.Access "z") in
+      ignore
+        (Sdfg.add_edge g ~dst_conn:"_x"
+           ~memlet:(memlet "x" (Range.of_indices [ Expr.int 0 ]))
+           ax t);
+      ignore (Sdfg.add_edge g ~src_conn:"_o" ~memlet:(memlet "z" []) t az);
+      Sdfg.add_istate_edge sdfg ~src:"s0" ~dst:"s1" ()
+    end;
+    sdfg.start_state <- "s0";
+    (sdfg, args)
+  in
+  let sdfg, args = build ~after:false in
+  let o = both_engines "opaque in map" sdfg args ~symbols:[] in
+  expect_output "opaque in map" o "y" (floats [| 1.0; 3.0; 5.0; 7.0 |]);
+  let sdfg, args = build ~after:true in
+  let o = both_engines "opaque after map" sdfg args ~symbols:[] in
+  expect_trap "opaque after map" o
+    "opaque tasklet 'after': unbound symbol 'i'";
+  let o = both_engines "opaque, i bound" sdfg args ~symbols:[ ("i", 10) ] in
+  expect_output "opaque, i bound" o "z" (floats [| 11.0 |])
+
+let test_value_edge_never_produced () =
+  (* The consumer reads a memlet input (charged) before each bad value
+     edge: one from an output its source tasklet does not compute, one
+     from an access node. *)
+  let build ~from_access =
+    let sdfg = Sdfg.create "unproduced" in
+    let args = [ ("a", [||], floats [| 1.5 |]); ("b", [||], floats [| 0.0 |]) ] in
+    add_args sdfg args;
+    let s = Sdfg.add_state sdfg "s" in
+    let g = s.s_graph in
+    let src =
+      if from_access then Sdfg.add_node g (Sdfg.Access "a")
+      else
+        Sdfg.add_node g
+          (Sdfg.TaskletN
+             (mk_tasklet "src" [] [ "_o" ] [ ("_o", Texpr.TFloat 2.0) ]))
+    in
+    let aa = Sdfg.add_node g (Sdfg.Access "a") in
+    let t =
+      add_writer ~ins:[ "_a"; "_v" ] g "use"
+        [ ("_w", Texpr.TBin (Texpr.BAdd, TIn "_a", TIn "_v"), "b", []) ]
+    in
+    ignore (Sdfg.add_edge g ~dst_conn:"_a" ~memlet:(memlet "a" []) aa t);
+    ignore (Sdfg.add_edge g ~src_conn:"_missing" ~dst_conn:"_v" src t);
+    sdfg.start_state <- "s";
+    (sdfg, args)
+  in
+  List.iter
+    (fun (label, from_access) ->
+      let sdfg, args = build ~from_access in
+      let o = both_engines label sdfg args ~symbols:[] in
+      expect_trap label o "value edge source";
+      expect_trap label o "not yet executed";
+      let _, _, mt, _ = o in
+      Alcotest.(check bool) (label ^ ": earlier read charged") true
+        (mt.loads >= 1))
+    [ ("unproduced output", false); ("value edge from an access node", true) ]
 
 let suite =
   ( "interp-plans",
@@ -852,6 +1224,18 @@ let suite =
         test_bytecode_trap_timing;
       Alcotest.test_case "malformed state: same raise point" `Quick
         test_malformed_state;
+      Alcotest.test_case "slots: symbol shadows a scalar container" `Quick
+        test_symbol_shadows_scalar;
+      Alcotest.test_case "slots: map parameter restored to unbound" `Quick
+        test_map_param_restore;
+      Alcotest.test_case "slots: interstate assignments swap" `Quick
+        test_interstate_swap;
+      Alcotest.test_case "slots: value edge in a parallel map" `Quick
+        test_par_value_edge;
+      Alcotest.test_case "slots: opaque tasklet reads a loop symbol" `Quick
+        test_opaque_loop_symbol;
+      Alcotest.test_case "slots: value edge never produced" `Quick
+        test_value_edge_never_produced;
       Alcotest.test_case "mlir calls and recursion: closure-vs-tree" `Quick
         test_mlir_calls_differential;
       Alcotest.test_case "mlir trap parity under per-call frames" `Quick

@@ -25,6 +25,99 @@ let test_cache_counters () =
   Cache.reset c;
   Alcotest.(check int) "reset" 0 c.accesses
 
+(* Reset must return the cache to its freshly created state. It used to
+   keep the old LRU stamps: after a reset, both ways of set 0 carried
+   stamps above the new tick, so the accesses 0, 32, 0, 32 kept evicting
+   each other and all four missed. *)
+let test_cache_reset_fresh () =
+  let fresh_pattern c = List.map (Cache.access c) [ 0; 32; 0; 32 ] in
+  let fresh = Cache.create ~name:"t" ~size_bytes:64 ~assoc:2 ~line_bytes:16 in
+  let expect = fresh_pattern fresh in
+  Alcotest.(check (list bool)) "fresh cache" [ false; false; true; true ] expect;
+  let c = Cache.create ~name:"t" ~size_bytes:64 ~assoc:2 ~line_bytes:16 in
+  List.iter (fun a -> ignore (Cache.access c a)) [ 0; 32; 16; 48; 0; 32 ];
+  Cache.reset c;
+  Alcotest.(check int) "accesses zeroed" 0 c.accesses;
+  Alcotest.(check int) "misses zeroed" 0 c.misses;
+  Alcotest.(check (list bool)) "after reset" expect (fresh_pattern c)
+
+(* Naive reference: per set, the resident lines most recently used first. *)
+let reference_lru ~sets ~assoc ~line_bytes =
+  let tbl = Array.make sets [] in
+  fun addr ->
+    let line = addr / line_bytes in
+    let set = line mod sets in
+    let resident = tbl.(set) in
+    let hit = List.mem line resident in
+    let rest = List.filter (fun l -> l <> line) resident in
+    tbl.(set) <- List.filteri (fun i _ -> i < assoc) (line :: rest);
+    hit
+
+(* The real hierarchy's geometry (Machine.create). *)
+let geometries =
+  [ ("L1", 32 * 1024, 8); ("L2", 1024 * 1024, 16); ("L3", 22 * 1024 * 1024, 11) ]
+
+let test_cache_matches_reference () =
+  let rng = Random.State.make [| 20231 |] in
+  List.iter
+    (fun (name, size_bytes, assoc) ->
+      let line_bytes = 64 in
+      let sets = size_bytes / line_bytes / assoc in
+      (* Addresses crowd a few sets with up to twice [assoc] distinct
+         lines each (so evictions happen), mixed with scattered ones. *)
+      let gen_addr () =
+        if Random.State.int rng 4 = 0 then Random.State.int rng ((1 lsl 30) - 1)
+        else
+          let line =
+            Random.State.int rng 3 + (sets * Random.State.int rng (2 * assoc))
+          in
+          (line * line_bytes) + Random.State.int rng line_bytes
+      in
+      let c = Cache.create ~name ~size_bytes ~assoc ~line_bytes in
+      let check_against_fresh_reference phase =
+        let reference = reference_lru ~sets ~assoc ~line_bytes in
+        for k = 1 to 4000 do
+          let addr = gen_addr () in
+          let want = reference addr in
+          let got = Cache.access c addr in
+          if got <> want then
+            Alcotest.failf "%s %s: access %d (address %d): got %b, reference %b"
+              name phase k addr got want
+        done
+      in
+      for trial = 1 to 5 do
+        check_against_fresh_reference (Printf.sprintf "trial %d fresh" trial);
+        Cache.reset c;
+        check_against_fresh_reference (Printf.sprintf "trial %d after reset" trial);
+        Cache.reset c
+      done)
+    geometries
+
+(* Creating (or forking) a machine must not build the whole cache model:
+   the L3 alone used to allocate about 5.8 MB of tags and stamps. *)
+let test_machine_create_small () =
+  (* The runtime folds direct major-heap allocations into the counters
+     lazily; a full major collection on each side flushes them, so the
+     delta holds exactly what [f] allocated. *)
+  let allocated f =
+    Gc.full_major ();
+    let before = Gc.allocated_bytes () in
+    let r = f () in
+    Gc.full_major ();
+    let after = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity r);
+    after -. before
+  in
+  let m = Machine.create () in
+  List.iter
+    (fun (what, bytes) ->
+      if bytes >= 1_000_000.0 then
+        Alcotest.failf "%s allocated %.0f bytes (limit 1 MB)" what bytes)
+    [
+      ("Machine.create", allocated (fun () -> Machine.create ()));
+      ("Machine.fork", allocated (fun () -> Machine.fork m));
+    ]
+
 let test_hierarchy_costs () =
   let m = Machine.create () in
   let b =
@@ -131,6 +224,12 @@ let suite =
     [
       Alcotest.test_case "cache LRU eviction" `Quick test_cache_lru;
       Alcotest.test_case "cache counters" `Quick test_cache_counters;
+      Alcotest.test_case "cache reset restores a fresh cache" `Quick
+        test_cache_reset_fresh;
+      Alcotest.test_case "cache agrees with a list-LRU reference" `Quick
+        test_cache_matches_reference;
+      Alcotest.test_case "Machine.create allocates under 1 MB" `Quick
+        test_machine_create_small;
       Alcotest.test_case "hierarchy costs" `Quick test_hierarchy_costs;
       Alcotest.test_case "register storage is free" `Quick test_register_free;
       Alcotest.test_case "allocation costs" `Quick test_alloc_costs;

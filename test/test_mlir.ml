@@ -185,6 +185,32 @@ let test_interp_trap_on_unknown () =
        false
      with Interp.Trap _ -> true)
 
+(* Serve workers build MLIR on several domains at once. Value and op ids
+   come from one process-wide counter; an unsynchronized read-increment
+   let two domains (or one domain, after another's stale write moved the
+   counter back) hand out the same id, and passes that key values by id
+   then see one value where there are two, so the same request could
+   compile differently in a pooled run. *)
+let test_ids_unique_across_domains () =
+  let n = 100_000 in
+  let make () =
+    ( Array.init n (fun _ -> (Ir.new_value Types.Index).vid),
+      Array.init n (fun _ -> (Ir.new_op "test.nop").oid) )
+  in
+  let results =
+    List.map Domain.join (List.init 2 (fun _ -> Domain.spawn make))
+  in
+  let all_distinct what ids =
+    let seen = Hashtbl.create (2 * n) in
+    List.iter
+      (Array.iter (fun id ->
+           if Hashtbl.mem seen id then Alcotest.failf "%s id %d handed out twice" what id;
+           Hashtbl.replace seen id ()))
+      ids
+  in
+  all_distinct "value" (List.map fst results);
+  all_distinct "op" (List.map snd results)
+
 let suite =
   ( "mlir",
     [
@@ -198,4 +224,6 @@ let suite =
       Alcotest.test_case "replace uses" `Quick test_replace_uses;
       Alcotest.test_case "interp: scf.if + math" `Quick test_interp_if_and_math;
       Alcotest.test_case "interp: unknown op traps" `Quick test_interp_trap_on_unknown;
+      Alcotest.test_case "ids stay unique across domains" `Quick
+        test_ids_unique_across_domains;
     ] )
