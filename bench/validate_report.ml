@@ -5,10 +5,17 @@
     [bench/main.exe ... --json FILE] (schema [dcir-bench-report/1]),
     validates that it parses, and that every "pipelines" array it
     contains has a row for each of the five pipelines.
-    Decision-event streams ([dcir-events/1], from [dcir explain --events]
-    or [dcir fuzz --coverage --events]) are gated on contiguous sequence
-    numbers, codes drawn from the closed catalogue, and a non-empty
-    conflict witness on every autopar refusal. Bench-history envelopes
+    Decision streams — the events of [dcir-events/1] (from
+    [dcir explain --events] or [dcir fuzz --coverage|--chaos --events])
+    and the entries of [dcir-serve-journal/1] (from [dcir serve]) — pass
+    one check ({!check_stream}): contiguous sequence numbers, codes drawn
+    from the closed catalogue, no repeated field names, the fields each
+    code must carry non-empty (see {!required_fields}), and, for a chaos
+    campaign's stream, the
+    chaos oracle: at least four fault kinds exercised and no case ending
+    in a wrong answer or an escaped exception. Serving journals are also
+    gated on well-formed responses and a self-consistent summary.
+    Bench-history envelopes
     ([dcir-bench-history/1], from [bench/history.exe record]) are
     unwrapped and their inner report validated; with
     [--baseline BASE.json [--rtol R]] the report is additionally gated
@@ -22,14 +29,6 @@
     auto-parallelized kernels) is gated on bit-identity only — never on
     speedup, because the executor's contract is determinism and the CI
     host may have a single core.
-    Incident journals from chaos campaigns ([dcir-incidents/1], from
-    [dcir fuzz --chaos --journal FILE]) are gated on record-stream shape
-    and on the chaos oracle: all four fault kinds exercised, no case
-    ending in a wrong answer or an escaped exception.
-    Serving journals ([dcir-serve-journal/1], from [dcir serve]) are
-    gated on contiguous sequence numbers, catalogued SRV-* codes,
-    attributable rejections/sheds, well-formed responses and a
-    self-consistent summary.
     Exits non-zero with a message on any failure. *)
 
 module Json = Dcir_obs.Json
@@ -146,85 +145,6 @@ let check_parallel_bench (j : Json.t) : unit =
       | _ -> fail "%s: parallel execution diverged from serial" label)
     rows
 
-(* Incident journals from chaos campaigns ([dcir-incidents/1]). Gates
-   the record stream's shape — contiguous sequence numbers, known record
-   kinds, per-kind summary counts that match — and, when the journal
-   comes from a chaos campaign, that the campaign actually exercised the
-   whole fault model and that no case ended in an oracle violation. *)
-let check_incidents (j : Json.t) : unit =
-  let known_kinds =
-    [ "chaos-case"; "case-outcome"; "chaos-injected"; "pass-rollback";
-      "tier-failed"; "degraded"; "breaker-open"; "breaker-probation";
-      "breaker-close" ]
-  in
-  let incidents =
-    match Option.bind (Json.member "incidents" j) Json.to_list with
-    | Some rows -> rows
-    | None -> fail "missing or non-array \"incidents\""
-  in
-  List.iteri
-    (fun i row ->
-      (match Json.member "seq" row with
-      | Some (Json.Int s) when s = i -> ()
-      | Some (Json.Int s) -> fail "incident %d has seq %d (not contiguous)" i s
-      | _ -> fail "incident %d missing integer \"seq\"" i);
-      match Option.bind (Json.member "kind" row) Json.to_str with
-      | Some k when List.mem k known_kinds -> ()
-      | Some k -> fail "incident %d has unknown kind %S" i k
-      | None -> fail "incident %d missing \"kind\"" i)
-    incidents;
-  let count k =
-    List.length
-      (List.filter
-         (fun row -> Option.bind (Json.member "kind" row) Json.to_str = Some k)
-         incidents)
-  in
-  (match Option.bind (Json.member "summary" j) (function
-     | Json.Obj fields -> Some fields
-     | _ -> None)
-   with
-  | None -> fail "missing or non-object \"summary\""
-  | Some fields ->
-      List.iter
-        (fun (k, v) ->
-          if v <> Json.Int (count k) then
-            fail "summary says %s %s, incidents have %d" k (Json.to_string v)
-              (count k))
-        fields);
-  let cases =
-    List.filter
-      (fun row ->
-        Option.bind (Json.member "kind" row) Json.to_str = Some "chaos-case")
-      incidents
-  in
-  if cases <> [] then begin
-    let faults =
-      List.sort_uniq compare
-        (List.concat_map
-           (fun row ->
-             match Option.bind (Json.member "faults" row) Json.to_list with
-             | Some fs -> List.filter_map Json.to_str fs
-             | None -> fail "chaos-case record missing \"faults\"")
-           cases)
-    in
-    if List.length faults < 4 then
-      fail "campaign exercised only %d fault kind(s): %s"
-        (List.length faults) (String.concat ", " faults);
-    List.iter
-      (fun row ->
-        match Option.bind (Json.member "outcome" row) Json.to_str with
-        | Some ("wrong-answer" | "escaped") ->
-            fail "journal records a chaos oracle violation: %s"
-              (Json.to_string row)
-        | Some _ -> ()
-        | None -> fail "case-outcome record missing \"outcome\"")
-      (List.filter
-         (fun row ->
-           Option.bind (Json.member "kind" row) Json.to_str
-           = Some "case-outcome")
-         incidents)
-  end
-
 (* Plan-cache telemetry carried by [dcir-bench/2] reports and serving
    journal summaries: all four fields present, integer, non-negative. *)
 let check_plan_cache (j : Json.t) : unit =
@@ -241,61 +161,97 @@ let check_plan_cache (j : Json.t) : unit =
       | None -> fail "plan_cache missing %S" key)
     [ "hits"; "misses"; "evictions"; "size" ]
 
-(* Serving journals ([dcir-serve-journal/1], from [dcir serve]). The
-   journal is the serving engine's decision record, so the gate holds it
-   to the same standard as the event stream: contiguous sequence
-   numbers, every code drawn from the closed catalogue, every rejection
-   and shed attributable (tenant + reason), well-formed responses, and a
-   summary whose counts are recomputable from the stream itself. *)
-let check_serve_journal (j : Json.t) : unit =
-  let entries =
-    match Option.bind (Json.member "entries" j) Json.to_list with
-    | Some rows -> rows
-    | None -> fail "missing or non-array \"entries\""
-  in
+(* Fields each code must carry non-empty. An unattributable rejection,
+   shed, deadline kill or worker incident would make the serving engine's
+   isolation story unauditable; an unexplained autopar refusal is a
+   provenance bug, not an optimization decision. *)
+let required_fields : (string list * string list) list =
+  [
+    ([ "SRV-REJECT"; "SRV-SHED"; "SRV-DEADLINE" ], [ "tenant"; "reason" ]);
+    ( [ "SRV-WORKER-KILL"; "SRV-WORKER-POISON"; "SRV-WORKER-WATCHDOG";
+        "SRV-WORKER-CRASH" ],
+      [ "id"; "tenant" ] );
+    ([ "APAR-REFUSE" ], [ "witness" ]);
+  ]
+
+let array_member (key : string) (j : Json.t) : Json.t list =
+  match Option.bind (Json.member key j) Json.to_list with
+  | Some rows -> rows
+  | None -> fail "missing or non-array %S" key
+
+let code_of (row : Json.t) : string option =
+  Option.bind (Json.member "code" row) Json.to_str
+
+(* The one check for every decision stream: the events of dcir-events/1
+   and the entries of dcir-serve-journal/1. [what] names a row in
+   messages. *)
+let check_stream ~(what : string) (rows : Json.t list) : unit =
   List.iteri
     (fun i row ->
+      (match row with
+      | Json.Obj fields ->
+          let keys = List.map fst fields in
+          if List.length (List.sort_uniq compare keys) <> List.length keys
+          then fail "%s %d repeats a field name: %s" what i (Json.to_string row)
+      | _ -> fail "%s %d is not an object" what i);
       (match Json.member "seq" row with
       | Some (Json.Int s) when s = i -> ()
-      | Some (Json.Int s) -> fail "entry %d has seq %d (not contiguous)" i s
-      | _ -> fail "entry %d missing integer \"seq\"" i);
+      | Some (Json.Int s) -> fail "%s %d has seq %d (not contiguous)" what i s
+      | _ -> fail "%s %d missing integer \"seq\"" what i);
       let code =
-        match Option.bind (Json.member "code" row) Json.to_str with
+        match code_of row with
         | Some c -> c
-        | None -> fail "entry %d missing \"code\"" i
+        | None -> fail "%s %d missing \"code\"" what i
       in
       if not (Dcir_obs.Events.is_known code) then
-        fail "entry %d has code %S outside the catalogue" i code;
-      (* Every rejection, shed and deadline kill must be attributable. *)
-      if List.mem code [ "SRV-REJECT"; "SRV-SHED"; "SRV-DEADLINE" ] then
-        List.iter
-          (fun key ->
-            match Option.bind (Json.member key row) Json.to_str with
-            | Some v when String.trim v <> "" -> ()
-            | _ -> fail "entry %d (%s) missing %S" i code key)
-          [ "tenant"; "reason" ];
-      (* Every worker incident must name the request and tenant it hit —
-         an unattributable kill would make the crash-isolation story
-         unauditable. *)
-      if
-        List.mem code
-          [
-            "SRV-WORKER-KILL"; "SRV-WORKER-POISON"; "SRV-WORKER-WATCHDOG";
-            "SRV-WORKER-CRASH";
-          ]
-      then
-        List.iter
-          (fun key ->
-            match Option.bind (Json.member key row) Json.to_str with
-            | Some v when String.trim v <> "" -> ()
-            | _ -> fail "entry %d (%s) missing %S" i code key)
-          [ "id"; "tenant" ])
-    entries;
-  let responses =
-    match Option.bind (Json.member "responses" j) Json.to_list with
-    | Some rows -> rows
-    | None -> fail "missing or non-array \"responses\""
-  in
+        fail "%s %d has code %S outside the catalogue" what i code;
+      List.iter
+        (fun (codes, keys) ->
+          if List.mem code codes then
+            List.iter
+              (fun key ->
+                match Option.bind (Json.member key row) Json.to_str with
+                | Some v when String.trim v <> "" -> ()
+                | _ -> fail "%s %d (%s) missing %S" what i code key)
+              keys)
+        required_fields)
+    rows;
+  (* The chaos oracle, for streams that record a chaos campaign: the
+     campaign exercised the whole fault model, and every injected fault
+     was answered by a correct artifact or a structured diagnostic. *)
+  let with_code c = List.filter (fun row -> code_of row = Some c) rows in
+  match with_code "CHAOS-CASE" with
+  | [] -> ()
+  | cases ->
+      let faults =
+        List.sort_uniq compare
+          (List.concat_map
+             (fun row ->
+               match Option.bind (Json.member "faults" row) Json.to_list with
+               | Some fs -> List.filter_map Json.to_str fs
+               | None -> fail "CHAOS-CASE %s missing \"faults\"" what)
+             cases)
+      in
+      if List.length faults < 4 then
+        fail "campaign exercised only %d fault kind(s): %s"
+          (List.length faults) (String.concat ", " faults);
+      List.iter
+        (fun row ->
+          match Option.bind (Json.member "outcome" row) Json.to_str with
+          | Some ("wrong-answer" | "escaped") ->
+              fail "stream records a chaos oracle violation: %s"
+                (Json.to_string row)
+          | Some _ -> ()
+          | None -> fail "CHAOS-OUTCOME %s missing \"outcome\"" what)
+        (with_code "CHAOS-OUTCOME")
+
+(* Serving journals ([dcir-serve-journal/1], from [dcir serve]): the
+   entry stream passes {!check_stream}; responses must be well-formed and
+   the summary's counts recomputable from the journal itself. *)
+let check_serve_journal (j : Json.t) : unit =
+  let entries = array_member "entries" j in
+  check_stream ~what:"entry" entries;
+  let responses = array_member "responses" j in
   let statuses =
     List.mapi
       (fun i row ->
@@ -331,10 +287,7 @@ let check_serve_journal (j : Json.t) : unit =
   in
   let status_count s = List.length (List.filter (( = ) s) statuses) in
   let code_count c =
-    List.length
-      (List.filter
-         (fun row -> Option.bind (Json.member "code" row) Json.to_str = Some c)
-         entries)
+    List.length (List.filter (fun row -> code_of row = Some c) entries)
   in
   expect "requests" (List.length responses);
   expect "ok" (status_count "ok");
@@ -355,39 +308,16 @@ let check_serve_journal (j : Json.t) : unit =
   | Some pc -> check_plan_cache (Json.Obj [ ("plan_cache", pc) ])
   | None -> fail "summary missing \"plan_cache\""
 
-(* Decision-event streams ([dcir-events/1]): contiguous sequence numbers
-   starting at 0, every code in the closed catalogue, and a non-empty
-   conflict witness on every autopar refusal — an unexplained refusal is
-   a provenance bug, not an optimization decision. *)
+(* Decision-event streams ([dcir-events/1]): a [count] that matches the
+   stream, and the stream passes {!check_stream}. *)
 let check_events (j : Json.t) : unit =
-  let events =
-    match Option.bind (Json.member "events" j) Json.to_list with
-    | Some rows -> rows
-    | None -> fail "missing or non-array \"events\""
-  in
+  let events = array_member "events" j in
   (match Json.member "count" j with
   | Some (Json.Int n) when n = List.length events -> ()
   | Some (Json.Int n) ->
       fail "\"count\" says %d, stream has %d event(s)" n (List.length events)
   | _ -> fail "missing integer \"count\"");
-  List.iteri
-    (fun i row ->
-      (match Json.member "seq" row with
-      | Some (Json.Int s) when s = i -> ()
-      | Some (Json.Int s) -> fail "event %d has seq %d (not contiguous)" i s
-      | _ -> fail "event %d missing integer \"seq\"" i);
-      let code =
-        match Option.bind (Json.member "code" row) Json.to_str with
-        | Some c -> c
-        | None -> fail "event %d missing \"code\"" i
-      in
-      if not (Dcir_obs.Events.is_known code) then
-        fail "event %d has code %S outside the catalogue" i code;
-      if code = "APAR-REFUSE" then
-        match Option.bind (Json.member "witness" row) Json.to_str with
-        | Some w when String.trim w <> "" -> ()
-        | _ -> fail "event %d: APAR-REFUSE without a conflict witness" i)
-    events
+  check_stream ~what:"event" events
 
 let check_bench ~(plan_cache : bool) (path : string) (j : Json.t) : unit =
   (match pipelines_arrays j with
@@ -407,7 +337,6 @@ let dispatch (path : string) (j : Json.t) : unit =
   | Some (Json.Str "dcir-interp-bench/4") ->
       check_interp_bench j;
       check_parallel_bench j
-  | Some (Json.Str "dcir-incidents/1") -> check_incidents j
   | Some (Json.Str "dcir-events/1") -> check_events j
   | Some (Json.Str "dcir-serve-journal/1") -> check_serve_journal j
   | Some s -> fail "unexpected schema %s" (Json.to_string s)
@@ -501,19 +430,15 @@ let () =
         fail
           "--same-serve: %s and %s differ beyond the recorded worker count"
           path other);
+  let stream =
+    List.concat_map
+      (fun key ->
+        Option.value ~default:[] (Option.bind (Json.member key j) Json.to_list))
+      [ "events"; "entries" ]
+  in
   List.iter
     (fun code ->
-      let entries =
-        Option.value ~default:[]
-          (Option.bind (Json.member "entries" j) Json.to_list)
-      in
-      let hits =
-        List.filter
-          (fun row ->
-            Option.bind (Json.member "code" row) Json.to_str = Some code)
-          entries
-      in
-      if hits = [] then
-        fail "--require-code: no %s entry in %s" code path)
+      if not (List.exists (fun row -> code_of row = Some code) stream) then
+        fail "--require-code: no %s in %s" code path)
     !require_codes;
   print_endline ("validate_report: " ^ path ^ " OK")

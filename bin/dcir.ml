@@ -54,13 +54,6 @@ let emit_arg =
                            ("sdfg", `Sdfg) ]) `Sdfg
        & info [ "emit" ] ~docv:"FORM" ~doc:"IR to print: mlir, sdfg-dialect, sdfg")
 
-let default_entry src entry =
-  match entry with
-  | Some e -> e
-  | None ->
-      let prog = Dcir_cfront.C_parser.parse_program src in
-      (List.hd prog.funcs).name
-
 (* ------------------------------------------------------------------ *)
 (* Observability flags, shared by compile/run/bench *)
 
@@ -170,20 +163,26 @@ let setup_obs ~verbose ~timing ~trace =
     Obs.reset ()
   end
 
+(* Write an output file the user asked for with [write]; a failed write
+   is a one-line error and exit code 1. *)
+let write_output ~(what : string) (path : string option)
+    (write : string -> unit) : unit =
+  match path with
+  | Some path -> (
+      try
+        write path;
+        Format.printf "%s written to %s@." what path
+      with Sys_error msg ->
+        Format.eprintf "dcir: cannot write %s: %s@." what msg;
+        exit 1)
+  | None -> ()
+
 let report_obs ~timing ~trace =
   if timing then begin
     Format.printf "@.-- timing --@.";
     Obs.pp_report Format.std_formatter ()
   end;
-  match trace with
-  | Some path -> (
-      try
-        Obs.write_trace path;
-        Format.printf "trace written to %s@." path
-      with Sys_error msg ->
-        Format.eprintf "dcir: cannot write trace: %s@." msg;
-        exit 1)
-  | None -> ()
+  write_output ~what:"trace" trace Obs.write_trace
 
 (* ------------------------------------------------------------------ *)
 
@@ -198,7 +197,7 @@ let compile_cmd =
   let run file entry pipeline emit no_opt parallel verbose timing trace =
     setup_obs ~verbose ~timing ~trace;
     let src = read_file file in
-    let entry = default_entry src entry in
+    let entry = Dcir_serve.Synth.resolve_entry src entry in
     (match (pipeline, emit) with
     | (Pipelines.Gcc | Clang | Mlir), _ | _, `Mlir ->
         let m = Dcir_cfront.Polygeist.compile src in
@@ -231,34 +230,6 @@ let compile_cmd =
         (const run $ file_arg $ entry_arg $ pipeline_arg $ emit_arg
        $ no_opt_arg $ parallel_arg $ verbose_arg $ timing_arg $ trace_arg))
 
-(* Build synthetic arguments from the entry function's C signature. *)
-let synth_args (src : string) (entry : string) (scale : float) :
-    Pipelines.arg list =
-  let prog = Dcir_cfront.C_sema.check (Dcir_cfront.C_parser.parse_program src) in
-  let f = List.find (fun (f : Dcir_cfront.C_ast.func_def) -> f.name = entry) prog.funcs in
-  List.map
-    (fun ((_, ty) : string * Dcir_cfront.C_ast.cty) ->
-      match ty with
-      | Dcir_cfront.C_ast.TArr (elem, dims) ->
-          let elems = List.fold_left ( * ) 1 dims in
-          if Dcir_cfront.C_ast.is_float_ty elem then
-            Pipelines.AFloatArr
-              ( Array.init elems (fun i -> Dcir_workloads.Workload.frand i),
-                Array.of_list dims )
-          else
-            Pipelines.AIntArr
-              (Array.init elems (fun i -> (i * 7) mod 13), Array.of_list dims)
-      | Dcir_cfront.C_ast.TPtr elem ->
-          if Dcir_cfront.C_ast.is_float_ty elem then
-            Pipelines.AFloatArr
-              (Array.init 256 (fun i -> Dcir_workloads.Workload.frand i), [| 256 |])
-          else Pipelines.AIntArr (Array.init 256 (fun i -> i mod 13), [| 256 |])
-      | Dcir_cfront.C_ast.TInt -> Pipelines.AInt (int_of_float scale)
-      | Dcir_cfront.C_ast.TFloat | Dcir_cfront.C_ast.TDouble ->
-          Pipelines.AFloat 1.5
-      | Dcir_cfront.C_ast.TVoid -> Pipelines.AInt 0)
-    f.params
-
 let run_cmd =
   let doc = "Compile and execute on the simulated machine; print metrics." in
   let size_arg =
@@ -269,7 +240,7 @@ let run_cmd =
       degrade verbose timing trace profile =
     setup_obs ~verbose ~timing ~trace;
     let src = read_file file in
-    let entry = default_entry src entry in
+    let entry = Dcir_serve.Synth.resolve_entry src entry in
     let limits = budget_limits ~max_steps ~max_fuel in
     let compiled =
       if degrade then begin
@@ -291,7 +262,7 @@ let run_cmd =
         (fun () ->
           Pipelines.run ~budget:(Budget.create ~limits ()) ?profile:prof ~jobs
             ~interp_mode:interp compiled ~entry
-            (synth_args src entry size))
+            (Dcir_serve.Synth.args src entry ~size))
     in
     if parallel then print_autopar_report Format.std_formatter;
     (match r.return_value with
@@ -352,24 +323,16 @@ let explain_cmd =
       no_run unchecked verbose timing trace =
     setup_obs ~verbose ~timing ~trace;
     let src = read_file file in
-    let entry = default_entry src entry in
+    let entry = Dcir_serve.Synth.resolve_entry src entry in
     let limits = budget_limits ~max_steps ~max_fuel in
     let x =
       Dcir_core.Explain.explain ~limits ~checked:(not unchecked)
         ~run:(not no_run) ~jobs ~interp pipeline ~src ~entry
-        ~args:(fun () -> synth_args src entry size)
+        ~args:(fun () -> Dcir_serve.Synth.args src entry ~size)
         ()
     in
     Format.printf "%a" Dcir_core.Explain.pp x;
-    (match events with
-    | Some path -> (
-        try
-          Dcir_core.Explain.write_events x path;
-          Format.printf "events written to %s@." path
-        with Sys_error msg ->
-          Format.eprintf "dcir: cannot write events: %s@." msg;
-          exit 1)
-    | None -> ());
+    write_output ~what:"events" events (Dcir_core.Explain.write_events x);
     report_obs ~timing ~trace;
     `Ok ()
   in
@@ -583,10 +546,9 @@ let fuzz_cmd =
   let journal_arg =
     Arg.(value & opt (some string) None
          & info [ "journal" ] ~docv:"FILE"
-             ~doc:"With $(b,--chaos): write the incident journal (schema \
-                   dcir-incidents/1) as JSON; with $(b,--serve): write the \
-                   serve response journal (schema dcir-serve-journal/1). \
-                   Same seed, same bytes.")
+             ~doc:"With $(b,--serve): write the serve response journal \
+                   (schema dcir-serve-journal/1) as JSON. Same seed, same \
+                   bytes.")
   in
   let coverage_arg =
     Arg.(value & flag
@@ -599,9 +561,9 @@ let fuzz_cmd =
   let events_arg =
     Arg.(value & opt (some string) None
          & info [ "events" ] ~docv:"FILE"
-             ~doc:"With $(b,--coverage): write the campaign's decision-event \
-                   stream (schema dcir-events/1) as JSON. Same seed, same \
-                   bytes.")
+             ~doc:"With $(b,--coverage) or $(b,--chaos): write the \
+                   campaign's decision-event stream (schema dcir-events/1) \
+                   as JSON. Same seed, same bytes.")
   in
   let write_reproducer dir (fc : Dcir_fuzz.Harness.failed_case) =
     let path =
@@ -620,7 +582,7 @@ let fuzz_cmd =
       Some path
     with Sys_error _ -> None
   in
-  let run_chaos ~count ~seed ~journal =
+  let run_chaos ~count ~seed ~events =
     let module C = Dcir_fuzz.Chaos_campaign in
     let report = C.run ~count ~seed () in
     List.iter
@@ -633,15 +595,7 @@ let fuzz_cmd =
             | C.Wrong msg | C.Escaped msg -> msg
             | _ -> ""))
       report.C.ch_cases;
-    (match journal with
-    | Some path -> (
-        try
-          C.write_journal report path;
-          Format.printf "journal written to %s@." path
-        with Sys_error msg ->
-          Format.eprintf "dcir: cannot write journal: %s@." msg;
-          exit 1)
-    | None -> ());
+    write_output ~what:"events" events (C.write_events report);
     let tally name p =
       match
         List.length (List.filter (fun c -> p c.C.cr_outcome) report.C.ch_cases)
@@ -669,15 +623,10 @@ let fuzz_cmd =
   let run_serve ~count ~seed ~tenants ~workers ~journal =
     let module S = Dcir_fuzz.Serve_campaign in
     let report = S.run ~tenants ~workers ~count ~seed () in
-    (match (journal, report.S.sv_engine) with
-    | Some path, Some er -> (
-        try
-          Dcir_serve.Engine.write er path;
-          Format.printf "journal written to %s@." path
-        with Sys_error msg ->
-          Format.eprintf "dcir: cannot write journal: %s@." msg;
-          exit 1)
-    | _ -> ());
+    Option.iter
+      (fun er ->
+        write_output ~what:"journal" journal (Dcir_serve.Engine.write er))
+      report.S.sv_engine;
     List.iter (Format.printf "%s@.") (S.summary_lines report);
     if S.ok report then `Ok () else exit 1
   in
@@ -685,15 +634,7 @@ let fuzz_cmd =
     let module Cov = Dcir_fuzz.Coverage in
     let r = Cov.run ~count ~seed () in
     Format.printf "%a" Cov.pp r;
-    (match events with
-    | Some path -> (
-        try
-          Cov.write_events r path;
-          Format.printf "events written to %s@." path
-        with Sys_error msg ->
-          Format.eprintf "dcir: cannot write events: %s@." msg;
-          exit 1)
-    | None -> ());
+    write_output ~what:"events" events (Cov.write_events r);
     `Ok ()
   in
   let run count seed checked parallel jobs max_steps max_fuel chaos serve
@@ -702,7 +643,7 @@ let fuzz_cmd =
     setup_obs ~verbose ~timing ~trace;
     if serve then run_serve ~count ~seed ~tenants ~workers ~journal
     else if coverage then run_coverage ~count ~seed ~events
-    else if chaos then run_chaos ~count ~seed ~journal
+    else if chaos then run_chaos ~count ~seed ~events
     else begin
     let out_dir =
       match out with Some d -> d | None -> Filename.get_temp_dir_name ()

@@ -21,8 +21,9 @@
     snapshotted ({!Dcir_sdfg.Sdfg.copy}); after it,
     {!Dcir_sdfg.Validate.errors} re-checks the graph. If the pass raised or
     left the SDFG invalid, it is rolled back, the incident is recorded (a
-    [dace.pass.rollbacks] {!Obs.Counter} plus a [rollback] span and a
-    {!Dcir_support.Diagnostics.incident} in [stats.incidents]), a
+    [PASS-ROLLBACK] event, a [dace.pass.rollbacks] metrics counter, a
+    [rollback] span and a {!Dcir_support.Diagnostics.incident} in
+    [stats.incidents]), a
     crash-reproducer file (pre-pass SDFG + the failing pass name) is
     written, and the pass's circuit breaker trips — open for a cooldown of
     fixpoint rounds, probationally re-admitted afterwards, re-closed after
@@ -34,7 +35,6 @@ module Diag = Dcir_support.Diagnostics
 module Budget = Dcir_resilience.Budget
 module Breaker = Dcir_resilience.Breaker
 module Chaos = Dcir_resilience.Chaos
-module Journal = Dcir_resilience.Journal
 module Events = Dcir_obs.Events
 module Om = Dcir_obs.Metrics
 
@@ -104,7 +104,7 @@ let run_one ?(accum : accum option)
   let inject = Chaos.tick_pass () in
   (match inject with
   | `Crash ->
-      Journal.note ~kind:"chaos-injected"
+      Events.emit ~code:"CHAOS-INJECT"
         [ ("fault", Json.Str "pass-crash"); ("pass", Json.Str name) ];
       raise (Chaos.Injected (Chaos.Pass_crash, name))
   | `Ok | `Corrupt -> ());
@@ -119,7 +119,7 @@ let run_one ?(accum : accum option)
   (match inject with
   | `Corrupt ->
       corrupt_sdfg sdfg;
-      Journal.note ~kind:"chaos-injected"
+      Events.emit ~code:"CHAOS-INJECT"
         [ ("fault", Json.Str "corrupt-rewrite"); ("pass", Json.Str name) ]
   | `Ok | `Crash -> ());
   if c then (
@@ -156,7 +156,7 @@ let run_one_checked ?(accum : accum option) ~(round : int)
   | Ok changed -> (changed, None)
   | Error reason ->
       Dcir_sdfg.Sdfg.restore ~into:sdfg snapshot;
-      Journal.note ~kind:"pass-rollback"
+      Events.emit ~code:"PASS-ROLLBACK"
         [
           ("domain", Json.Str "data");
           ("pass", Json.Str name);

@@ -142,17 +142,7 @@ let run ?(chaos = true) ~(count : int) ~(seed : int) () : report =
         let checked =
           if chaos then begin
             let plan = Chaos.plan ~seed:(Chaos_campaign.chaos_seed seed i) () in
-            Events.emit ~code:"CHAOS-CASE"
-              [
-                ("case", Json.Int i);
-                ("case_seed", Json.Int case.Gen.seed);
-                ( "faults",
-                  Json.List
-                    (List.map
-                       (fun f -> Json.Str (Chaos.fault_name f))
-                       plan.Chaos.pl_faults) );
-                ("checked", Json.Bool plan.Chaos.pl_checked);
-              ];
+            Chaos_campaign.emit_case i case plan;
             Chaos.install plan;
             plan.Chaos.pl_checked
           end
@@ -178,7 +168,7 @@ let run ?(chaos = true) ~(count : int) ~(seed : int) () : report =
            ]
           @
           match diagnosed with
-          | Some code -> [ ("code", Json.Str code) ]
+          | Some code -> [ ("reason", Json.Str code) ]
           | None -> []);
         (* Tally this case's decisions from its slice of the stream. *)
         let slice =

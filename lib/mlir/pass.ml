@@ -12,9 +12,10 @@
     {b Checked execution} ([~checked:true]): before each pass the module is
     snapshotted ({!Ir.clone_module}); after it, {!Verifier.verify_module}
     re-checks the IR. If the pass raised or left the IR invalid, the module
-    is rolled back to the snapshot, the incident is recorded (an
-    [mlir.pass.rollbacks] {!Obs.Counter} plus a [rollback] span and a
-    {!Dcir_support.Diagnostics.incident} in the stats), a crash-reproducer
+    is rolled back to the snapshot, the incident is recorded (a
+    [PASS-ROLLBACK] event, an [mlir.pass.rollbacks] metrics counter, a
+    [rollback] span and a {!Dcir_support.Diagnostics.incident} in the
+    stats), a crash-reproducer
     file (pre-pass IR + the single-pass pipeline that triggers the fault,
     MLIR-style) is written, and the pass's circuit breaker trips: it stays
     open for a cooldown of fixpoint rounds, is then probationally
@@ -29,7 +30,6 @@ module Breaker = Dcir_resilience.Breaker
 module Events = Dcir_obs.Events
 module Om = Dcir_obs.Metrics
 module Chaos = Dcir_resilience.Chaos
-module Journal = Dcir_resilience.Journal
 
 let log_src = Logs.Src.create "dcir.mlir.pass" ~doc:"MLIR pass manager"
 
@@ -73,7 +73,7 @@ let run_one (p : t) (m : Ir.modul) : bool =
   let inject = Chaos.tick_pass () in
   (match inject with
   | `Crash ->
-      Journal.note ~kind:"chaos-injected"
+      Events.emit ~code:"CHAOS-INJECT"
         [ ("fault", Json.Str "pass-crash"); ("pass", Json.Str p.pname) ];
       raise (Chaos.Injected (Chaos.Pass_crash, p.pname))
   | `Ok | `Corrupt -> ());
@@ -94,7 +94,7 @@ let run_one (p : t) (m : Ir.modul) : bool =
   (match inject with
   | `Corrupt ->
       corrupt_module m;
-      Journal.note ~kind:"chaos-injected"
+      Events.emit ~code:"CHAOS-INJECT"
         [ ("fault", Json.Str "corrupt-rewrite"); ("pass", Json.Str p.pname) ]
   | `Ok | `Crash -> ());
   Log.debug (fun f ->
@@ -140,7 +140,7 @@ let write_reproducer ?(ext = ".mlir") ~(dir : string) ~(prefix : string)
 
 let record_rollback ~(counter : string) ~(pass_name : string)
     ~(reason : string) (reproducer : string option) : unit =
-  Obs.Counter.incr (Obs.Counter.make counter);
+  Om.Counter.incr (Om.Counter.make counter);
   if Obs.enabled () then
     Obs.with_span ~cat:"rollback" ("rollback:" ^ pass_name) (fun () ->
         Obs.set_args
@@ -183,7 +183,7 @@ let run_one_checked ~(round : int) ~(reproducer_dir : string) (p : t)
   | Ok changed -> (changed, None)
   | Error (reason, stable) ->
       Ir.restore_module ~into:m snapshot;
-      Journal.note ~kind:"pass-rollback"
+      Events.emit ~code:"PASS-ROLLBACK"
         [
           ("domain", Json.Str "control");
           ("pass", Json.Str p.pname);

@@ -530,19 +530,7 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
                       raise (Chaos.Injected (Chaos.Worker_kill, "pre-compile"))
                   | _ -> ());
                   let entry_name =
-                    match job.jb_entry with
-                    | Some e -> e
-                    | None -> (
-                        match Synth.default_entry job.jb_src with
-                        | Some e -> e
-                        | None ->
-                            raise
-                              (Diag.Error
-                                 {
-                                   Diag.code = "E-NO-ENTRY";
-                                   phase = Diag.Frontend;
-                                   message = "source defines no function";
-                                 }))
+                    Synth.resolve_entry job.jb_src job.jb_entry
                   in
                   let compiled, report =
                     compile_attempt

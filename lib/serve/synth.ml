@@ -39,8 +39,20 @@ let args (src : string) (entry : string) ~(size : float) :
       | C_ast.TVoid -> Pipelines.AInt 0)
     f.params
 
-(** First function name of [src], for requests that omit [entry]. Raises
-    frontend diagnostics on unparsable source. *)
-let default_entry (src : string) : string option =
-  let prog = Dcir_cfront.C_sema.check (Dcir_cfront.C_parser.parse_program src) in
-  match prog.funcs with f :: _ -> Some f.C_ast.name | [] -> None
+(** [resolve_entry src entry] — [entry] when given, else the first
+    function of [src], for requests and commands that omit it. Raises the
+    one-line [E-NO-ENTRY] frontend diagnostic when [src] defines no
+    function, and frontend diagnostics on unparsable source. *)
+let resolve_entry (src : string) (entry : string option) : string =
+  match entry with
+  | Some e -> e
+  | None -> (
+      let prog =
+        Dcir_cfront.C_sema.check (Dcir_cfront.C_parser.parse_program src)
+      in
+      match prog.funcs with
+      | f :: _ -> f.C_ast.name
+      | [] ->
+          Dcir_support.Diagnostics.fail ~code:"E-NO-ENTRY"
+            ~phase:Dcir_support.Diagnostics.Frontend
+            "source defines no function")

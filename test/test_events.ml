@@ -40,13 +40,13 @@ let test_histogram_validation () =
       ignore (Metrics.Histogram.make "test.hist.bad1" ~edges:[| 2.0; 1.0 |]))
 
 let test_obs_reset_fresh () =
-  (* Satellite fix: [Obs.reset] must restore a fully fresh collector —
-     span state, the legacy Obs counters, AND the metrics registry. *)
+  (* [Obs.reset] must restore a fully fresh collector — span state AND
+     every kind of metric in the registry. *)
   Obs.enable ();
   Fun.protect ~finally:Obs.disable (fun () ->
       Obs.reset ();
-      let legacy = Obs.Counter.make "test.reset.legacy" in
-      Obs.Counter.incr legacy ~by:7;
+      let g = Metrics.Gauge.make "test.reset.gauge" in
+      Metrics.Gauge.set g 7;
       let c = Metrics.Counter.make "test.reset.counter" in
       Metrics.Counter.incr c ~by:3;
       let h = Metrics.Histogram.make "test.reset.hist" ~edges:[| 1.0 |] in
@@ -55,7 +55,7 @@ let test_obs_reset_fresh () =
       let epoch_before = Obs.epoch_s () in
       Obs.reset ();
       Alcotest.(check int) "no spans survive" 0 (List.length (Obs.roots ()));
-      Alcotest.(check int) "legacy counter zeroed" 0 (Obs.Counter.value legacy);
+      Alcotest.(check int) "gauge zeroed" 0 (Metrics.Gauge.value g);
       Alcotest.(check int) "metrics counter zeroed" 0 (Metrics.Counter.value c);
       Alcotest.(check int) "histogram zeroed" 0 (Metrics.Histogram.total h);
       Alcotest.(check bool) "epoch advanced" true
@@ -68,9 +68,9 @@ let test_event_stream () =
   let t = Events.create () in
   Events.install t;
   Fun.protect ~finally:Events.clear (fun () ->
-      Events.emit ~code:"NOTE" [ ("msg", Json.Str "a") ];
+      Events.emit ~code:"PHASE" [ ("name", Json.Str "a") ];
       Events.emit ~code:"PHASE" [ ("name", Json.Str "b") ]);
-  Events.emit ~code:"NOTE" [ ("msg", Json.Str "after clear: dropped") ];
+  Events.emit ~code:"PHASE" [ ("name", Json.Str "after clear: dropped") ];
   Alcotest.(check int) "two events recorded" 2 (Events.length t);
   Alcotest.(check (list int))
     "contiguous seqs" [ 0; 1 ]

@@ -1,9 +1,10 @@
 (** Tests for the telemetry substrate (lib/obs): span nesting and exception
     safety, Chrome trace_event JSON well-formedness via the in-repo JSON
-    parser, counters, and end-to-end profile attribution (per-state cycles
-    partition the interpreter's total). *)
+    parser, metrics counters, and end-to-end profile attribution
+    (per-state cycles partition the interpreter's total). *)
 
 module Obs = Dcir_obs.Obs
+module Metrics = Dcir_obs.Metrics
 module Json = Dcir_obs.Json
 module Pipelines = Dcir_core.Pipelines
 
@@ -90,17 +91,19 @@ let test_trace_json () =
       | _ -> Alcotest.fail "span args lost in trace")
 
 let test_counters () =
-  let c = Obs.Counter.make "test.counter" in
-  Obs.Counter.set c 0;
-  Obs.Counter.incr c;
-  Obs.Counter.incr ~by:4 c;
-  Alcotest.(check int) "accumulated" 5 (Obs.Counter.value c);
+  let c = Metrics.Counter.make "test.counter" in
+  Metrics.reset_all ();
+  Metrics.Counter.incr c;
+  Metrics.Counter.incr ~by:4 c;
+  Alcotest.(check int) "accumulated" 5 (Metrics.Counter.value c);
   Alcotest.(check bool) "same name, same counter" true
-    (Obs.Counter.make "test.counter" == c);
-  Alcotest.(check (option int)) "listed" (Some 5)
-    (List.assoc_opt "test.counter" (Obs.Counter.all ()));
-  Obs.Counter.reset_all ();
-  Alcotest.(check int) "reset" 0 (Obs.Counter.value c)
+    (Metrics.Counter.make "test.counter" == c);
+  Alcotest.(check bool) "listed" true
+    (Option.bind (Json.member "counters" (Metrics.to_json ()))
+       (Json.member "test.counter")
+    = Some (Json.Int 5));
+  Metrics.reset_all ();
+  Alcotest.(check int) "reset" 0 (Metrics.Counter.value c)
 
 (* End-to-end: per-state cycle attribution must partition the interpreter's
    total cycle count (the acceptance criterion for [dcir run --profile]). *)

@@ -4,14 +4,14 @@
     exhaustion is a structured answer (never a hang), the two
     interpreters trap on exactly the same ceiling, a degraded compile
     still matches the unoptimized reference within floating-point
-    tolerance, and a chaos campaign replayed with its seed reproduces the
-    incident journal byte-for-byte. *)
+    tolerance, and a chaos campaign replayed with its seed reproduces its
+    decision-event stream byte-for-byte. *)
 
 module Pipelines = Dcir_core.Pipelines
 module Budget = Dcir_resilience.Budget
 module Breaker = Dcir_resilience.Breaker
 module Chaos = Dcir_resilience.Chaos
-module Journal = Dcir_resilience.Journal
+module Events = Dcir_obs.Events
 module Polybench = Dcir_workloads.Polybench
 module Workload = Dcir_workloads.Workload
 module Oracle = Dcir_fuzz.Oracle
@@ -211,11 +211,14 @@ let test_chaos_determinism () =
   let a = campaign () and b = campaign () in
   Alcotest.(check bool) "no oracle violations" true
     (Dcir_fuzz.Chaos_campaign.ok a);
-  Alcotest.(check bool) "journals are non-trivial" true
-    (Journal.length a.Dcir_fuzz.Chaos_campaign.ch_journal > 24);
-  Alcotest.(check string) "same seed, byte-identical journal"
-    (Json.to_string (Dcir_fuzz.Chaos_campaign.journal_json a))
-    (Json.to_string (Dcir_fuzz.Chaos_campaign.journal_json b))
+  let count code =
+    List.length (Events.with_code a.Dcir_fuzz.Chaos_campaign.ch_events code)
+  in
+  Alcotest.(check int) "one CHAOS-CASE per case" 12 (count "CHAOS-CASE");
+  Alcotest.(check int) "one CHAOS-OUTCOME per case" 12 (count "CHAOS-OUTCOME");
+  Alcotest.(check string) "same seed, byte-identical stream"
+    (Json.to_string (Dcir_fuzz.Chaos_campaign.events_json a))
+    (Json.to_string (Dcir_fuzz.Chaos_campaign.events_json b))
 
 let suite =
   ( "resilience",
